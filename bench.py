@@ -34,6 +34,13 @@ NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 REPEAT = int(os.environ.get("GRAFT_BENCH_REPEAT", "200"))
 SHARDS = 128
 
+#: registered queries the per-op sweep leaves untimed, name -> reason;
+#: every other name in ``__ray_entry__.queries()`` is timed
+SKIPPED_QUERIES = {
+    "graph_triangles": "raises its max_wedges guard at sf0.1 (wedge volume "
+    "1.35e8 > 5e7): the co-supplier graph is too dense there by design",
+}
+
 
 def host_alloc_probe() -> float:
     """Seconds to fault-in a fresh 100 MB allocation — the sandbox
@@ -162,151 +169,7 @@ def run_bench() -> dict:
     import __ray_entry__ as em
 
     qs = em.queries()
-    for name in (
-        "doc_stats",
-        "fingerprint",
-        "winnow_fingerprint",
-        "dedup_exact",
-        "dedup_incremental",
-        "minhash_pairs",
-        "simhash_pairs",
-        "ngram_jaccard",
-        "knn_brute",
-        "knn_lsh",
-        "knn_ivf",
-        "cosine_dups",
-        "tumbling_window",
-        "window_distinct_users",
-        "sliding_window",
-        "sessionize",
-        "sessionize_stream",
-        "sessionize_salted",
-        "asof_join",
-        "range_join",
-        "doc_embedding_join",
-        "doc_anti_join",
-        "token_counts",
-        "lang_id",
-        "quality_score",
-        "repetition_stats",
-        "lm_bigram_score",
-        "quality_band",
-        "corpus_clean",
-        "training_data",
-        "chunk_documents",
-        "pack_sequences",
-        "model_score",
-        "media_features",
-        "frame_sample",
-        "line_dedup",
-        "line_dedup_join",
-        "redact_pii",
-        "stratified_sample",
-        "sample_fixed_k",
-        "cap_per_source",
-        "topk_per_group",
-        "tfidf_top_terms",
-        "dup_ngram_stats",
-        "dup_ngram_stats_join",
-        "dedup_ngram_spans",
-        "dedup_ngram_spans_join",
-        "decontaminate",
-        "dup_components",
-        "minhash_components",
-        "token_quantiles",
-        "token_quantiles_by_lang",
-        "score_quantiles",
-        "value_quantiles",
-        "percent_rank",
-        "percent_rank_by_lang",
-        "latest_event",
-        "dedup_incremental_minhash",
-        "decontaminate_embedding",
-        "corpus_report",
-        "doc_outer_join",
-        "weighted_sample",
-        "training_data_curated",
-        "dedup_bloom",
-        "code_detect",
-        "cluster_kmeans",
-        "semantic_dedup",
-        "rolling_stats",
-        "lag_intervals",
-        "funnel_stages",
-        "dedup_normalized",
-        "dedup_keep_best",
-        "filter_blocklist",
-        "shuffle_shards",
-        "rollup_stats",
-        "cooccurrence_topk",
-        "budget_sample",
-        "curate",
-        "fill_windows",
-        "sessionize_assign",
-        "cohort_retention",
-        "window_topk",
-        "dsir_weights",
-        "bm25_topk",
-        "outlier_mad",
-        "entity_counts",
-        "nb_classify",
-        "countmin_topk",
-        "gopher_filter",
-        "window_outliers",
-        "bpe_pairs",
-        "props_stats",
-        "curate_quality",
-        "readability",
-        "dedup_fuzzy_keep_best",
-        "crawl_diff",
-        "weighted_sample_k",
-        "quantize_embeddings",
-        "knn_sq8",
-        "heavy_hitters",
-        "approx_distinct",
-        "sample_k_per_group",
-        "graph_rank",
-        "ccnet_buckets",
-        "temperature_mix",
-        "curate_ppl",
-        "contamination_report",
-        "group_enrich",
-        "pricing_summary",
-        "star_revenue",
-        "top_customers",
-        "order_priority",
-        "ship_priority",
-        "revenue_delta",
-        "large_orders",
-        "promo_revenue",
-        "order_count_dist",
-        "top_supplier",
-        "small_qty_revenue",
-        "idle_customers",
-        "nation_volume",
-        "transition_counts",
-        "vocab_ranked",
-        "vocab_encode",
-        "source_divergence",
-        "copurchase_lift",
-        "pq_codes",
-        "knn_pq",
-        "knn_ivf_pq",
-        "market_share",
-        "band_revenue",
-        "extract_fields",
-        "customer_features",
-        "bpe_train",
-        "bpe_encode",
-        "ab_metrics",
-        "lang_confusion",
-        "dup_cluster_sizes",
-        "table_checksum",
-        "topk_with_ties",
-        "group_checksum",
-        "user_type_entropy",
-        "length_histogram",
-    ):
+    for name in (n for n in qs if n not in SKIPPED_QUERIES):
         # min-of-2, same protocol as the headline: the shared host's
         # bursty load makes single-shot per-op numbers meaningless
         best = None

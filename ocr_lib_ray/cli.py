@@ -36,7 +36,6 @@ def main(argv=None) -> int:
     ex.add_argument("--repeat", type=int, default=1)
     ex.add_argument("--resume", action="store_true", default=True)
     ex.add_argument("--no-resume", dest="resume", action="store_false")
-    ex.add_argument("--skew-route", action="store_true")
     va = sub.add_parser("validate", help="audit a job's partitions against its manifests")
     va.add_argument("--output", required=True, help="job output root to audit")
     cc = sub.add_parser(
@@ -466,7 +465,7 @@ def main(argv=None) -> int:
         return 0
 
     cfg = ExtractConfig(num_partitions=args.partitions)
-    extracted = extract_pipeline(pages, cfg, skew_route=args.skew_route)
+    extracted = extract_pipeline(pages, cfg)
     stats = write_with_manifest(extracted, args.output, resume=args.resume)
     stats["wall_sec"] = round(time.time() - t0, 3)
     print(json.dumps(stats))

@@ -52,11 +52,10 @@ class ExtractConfig:
     # behavior); taught tables usually arrive via ClassifierBundle.
     pdf_glyph_widths: dict | None = None
 
-    # -- skew routing (analog of the band split for big pages,
-    #    core.clj:1460-1481): documents with len(html) above this go to
-    #    the small-batch actor path.
+    # -- giant pages (analog of the band split for big pages,
+    #    core.clj:1460-1481): documents with len(html) above this parse
+    #    in bounded chunk passes (below).
     giant_threshold: int = 1 << 20  # 1 MiB
-    giant_batch_size: int = 4
     bulk_batch_size: int = 256
 
     # -- chunked tokenize for giant pages (analog of

@@ -350,22 +350,18 @@ def copurchase_lift(
             min_support,
             num_partitions,
         )
-    from .bucket_tasks import TASK_EXCHANGE_MAX_PARTITIONS, exchange_map_groups
+    from .bucket_tasks import exchange_map_groups
     from .joins import bucket_int_pairs
 
     def pair_sum_group(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.Table.from_arrays(
-                [pa.array([], pa.int64())] * 3, names=["part_a", "part_b", "n_pair"]
-            )
         a = np.asarray(t.column("part_a").to_numpy(zero_copy_only=False), np.int64)
         bb = np.asarray(t.column("part_b").to_numpy(zero_copy_only=False), np.int64)
         n = np.asarray(t.column("n").to_numpy(zero_copy_only=False), np.int64)
         o = np.lexsort((bb, a))
         a, bb, n = a[o], bb[o], n[o]
-        starts = np.flatnonzero(
-            np.concatenate([[True], (a[1:] != a[:-1]) | (bb[1:] != bb[:-1])])
-        )
+        first = np.ones(len(a), dtype=bool)
+        first[1:] = (a[1:] != a[:-1]) | (bb[1:] != bb[:-1])
+        starts = np.flatnonzero(first)
         sums = np.add.reduceat(n, starts).astype(np.int64)
         keep = sums >= min_support
         return pa.Table.from_arrays(
@@ -373,36 +369,24 @@ def copurchase_lift(
             names=["part_a", "part_b", "n_pair"],
         )
 
-    if num_partitions <= TASK_EXCHANGE_MAX_PARTITIONS:
-        # the pair Sum is the dominant exchange of this operator — at
-        # bounded widths run it as the two-wave raw-task exchange (no
-        # sort barrier); the split-side pre_fn ships ONLY kind-0 rows.
-        # Both pair_stream variants are views over MATERIALIZED blocks
-        # (tagged, or the SON-filtered materialization), so the source
-        # dataset re-reads blocks, never re-executes lineage.
-        src = tagged if local_min <= 1 else pair_stream
-        pairs = exchange_map_groups(
-            src,
-            lambda t: bucket_int_pairs(
-                np.asarray(t.column("part_a").to_numpy(zero_copy_only=False), np.int64),
-                np.asarray(t.column("part_b").to_numpy(zero_copy_only=False), np.int64),
-                num_partitions,
-            ),
+    # the pair Sum is the dominant exchange of this operator: the
+    # split-side pre_fn ships ONLY kind-0 rows.  Both pair_stream
+    # variants are views over MATERIALIZED blocks (tagged, or the
+    # SON-filtered materialization), so the source dataset re-reads
+    # blocks, never re-executes lineage.
+    pairs = exchange_map_groups(
+        tagged if local_min <= 1 else pair_stream,
+        lambda t: bucket_int_pairs(
+            np.asarray(t.column("part_a").to_numpy(zero_copy_only=False), np.int64),
+            np.asarray(t.column("part_b").to_numpy(zero_copy_only=False), np.int64),
             num_partitions,
-            pair_sum_group,
-            pre_fn=lambda t: t.filter(pc.equal(t.column("kind"), 0)).select(
-                ["part_a", "part_b", "n"]
-            ),
-        )
-    else:
-        pairs = (
-            pair_stream.groupby(["part_a", "part_b"])
-            .aggregate(Sum("n", alias_name="n_pair"))
-            .map_batches(
-                lambda b: b.filter(pc.greater_equal(b.column("n_pair"), min_support)),
-                batch_format="pyarrow",
-            )
-        )
+        ),
+        num_partitions,
+        pair_sum_group,
+        pre_fn=lambda t: t.filter(pc.equal(t.column("kind"), 0)).select(
+            ["part_a", "part_b", "n"]
+        ),
+    )
 
     # lift annotation: every surviving pair needs (n_a, n_b) from the
     # catalog-sized part_counts table.  ADAPTIVE (round 5): when the

@@ -109,12 +109,6 @@ def _hot_keys(
     return {int(r[key_col]) for r in rows}
 
 
-#: past this exchange width the driver-side O(P^2) partial-ref fan of
-#: the raw-task loop outgrows the sort shuffle's fixed latency — fall
-#: back to the Dataset loop (see bucket_tasks module docstring)
-PAGERANK_TASKS_MAX_PARTITIONS = 256
-
-
 def pagerank_micro(
     edges_ds,
     iters: int = 3,
@@ -140,7 +134,8 @@ def pagerank_micro(
         num_partitions = derive_num_partitions(edges_ds, floor=32)
     import ray.data as rd
 
-    from .joins import bucket_int_pairs, bucket_ints
+    from .bucket_tasks import fits_task_exchange
+    from .joins import bucket_int_pairs, bucket_ints, spread_rows
 
     # --- FUSED setup (round 5): TWO exchanges replace the old four
     # ({distinct-pairs groupby, distinct-nodes groupby, outdeg groupby,
@@ -258,23 +253,14 @@ def pagerank_micro(
     )
 
     def _spread_hot(keys: np.ndarray, bk: np.ndarray) -> np.ndarray:
-        """Hot-SOURCE rows spread uniformly (per-row ordinal re-mix) —
-        which bucket a hot edge lands in is irrelevant because the hot
-        state row replicates into EVERY bucket; only that no single
-        merge task gets them all (the replicate_keys discipline,
-        joins.py:110-117)."""
+        """Hot-SOURCE rows spread uniformly — the hot state row
+        replicates into EVERY bucket (the replicate_keys discipline)."""
         if hot_arr is None:
             return bk
-        mask = np.isin(keys, hot_arr)
-        if mask.any():
-            idx = np.flatnonzero(mask).astype(np.uint64)
-            mix = keys[mask].astype(np.uint64) + ((idx + np.uint64(1)) << np.uint64(32))
-            bk = bk.copy()
-            bk[mask] = bucket_ints(mix.view(np.int64), num_partitions)
-        return bk
+        return spread_rows(bk, np.isin(keys, hot_arr), num_partitions)
 
     if impl is None:
-        impl = "tasks" if num_partitions <= PAGERANK_TASKS_MAX_PARTITIONS else "dataset"
+        impl = "tasks" if fits_task_exchange(num_partitions) else "dataset"
     if impl == "tasks":
         return _pagerank_tasks_loop(
             edges, state, hot_arr, n_nodes, num_partitions, iters, _spread_hot
@@ -541,9 +527,9 @@ def pagerank_micro(
 def _pagerank_tasks_loop(
     edges, state, hot_arr, n_nodes, num_partitions, iters, spread_hot
 ):
-    """The raw-task iteration loop (default for ``num_partitions <=
-    PAGERANK_TASKS_MAX_PARTITIONS``): both Dataset exchanges key by
-    ``bucket(node)``, so the state partition is INVARIANT across
+    """The raw-task iteration loop (default while
+    ``fits_task_exchange(num_partitions)``): both Dataset exchanges key
+    by ``bucket(node)``, so the state partition is INVARIANT across
     iterations — but a ``groupby`` cannot know that and pays a full
     sort-shuffle barrier per exchange per iteration anyway.  Here the
     edges and the seeded state are exchanged ONCE into per-bucket
@@ -628,10 +614,10 @@ def _pagerank_tasks_loop(
         o = np.argsort(n, kind="stable")
         return {"n": n[o], "r": r[o], "outdeg": od[o]}
 
-    edge_refs = exchange_to_bucket_refs(
+    edge_refs, _ = exchange_to_bucket_refs(
         edges.to_arrow_refs(), edge_buckets, P, edge_merge
     )
-    state_refs = exchange_to_bucket_refs(
+    state_refs, _ = exchange_to_bucket_refs(
         state.to_arrow_refs(), state_buckets, P, state_merge
     )
 

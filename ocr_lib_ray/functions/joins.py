@@ -1,9 +1,9 @@
 """Temporal joins Ray Data lacks natively: as-of and range joins.
 
 Both are explicit partitioned hash joins (the portable pattern — add
-``bucket = crc32(key) % P`` to both sides, one groupby(bucket), and
-merge inside the group): a bucket holds EVERY row of its keys from both
-sides, so per-key time logic is local to one task.  P bounds per-task
+``bucket = bucket_col(key, P)`` to both sides, one bucket exchange,
+and merge inside the group): a bucket holds EVERY row of its keys from
+both sides, so per-key time logic is local to one task.  P bounds per-task
 memory (size ≈ total_rows / P); skewed keys can be salted into
 sub-buckets by time range if one key outgrows a worker.
 
@@ -37,8 +37,7 @@ def bucket_ints(vals: np.ndarray, num_partitions: int) -> np.ndarray:
     are internal partitioning only (never part of any output or
     oracle), so the hash only needs to be stable within a run and well
     mixed; it IS deterministic across runs too (pure value function).
-    The string-key path keeps the crc32 loop (bytes are needed
-    per row anyway)."""
+    Non-integer keys go through :func:`bucket_col`."""
     x = vals.astype(np.int64).view(np.uint64).copy()
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
@@ -73,12 +72,28 @@ def bucket_col(col, num_partitions: int, crc_compat: bool = False) -> np.ndarray
         return bucket_ints(iv, num_partitions)
     vals = col.to_pylist()
     codes, uniq = pd.factorize(np.asarray(vals, dtype=object))
+    # nulls factorize to code -1: the extra last slot hashes them as
+    # str(None), so every null lands in one fixed bucket
     ub = np.fromiter(
-        (zlib.crc32(str(k).encode()) % num_partitions for k in uniq),
+        (zlib.crc32(str(k).encode()) % num_partitions for k in [*uniq, None]),
         dtype=np.int32,
-        count=len(uniq),
+        count=len(uniq) + 1,
     )
     return ub[codes]
+
+
+def spread_rows(bk: np.ndarray, mask: np.ndarray, num_partitions: int) -> np.ndarray:
+    """Re-bucket the ``mask``ed (hot-key) rows uniformly: each one's
+    bucket re-mixed with its row ordinal.  Which bucket a hot row lands
+    in is irrelevant when its key's other side is replicated into every
+    bucket; only that no single task gets them all."""
+    if not mask.any():
+        return bk
+    idx = np.flatnonzero(mask).astype(np.uint64)
+    mix = bk[mask].astype(np.uint64) + ((idx + np.uint64(1)) << np.uint64(32))
+    bk = bk.copy()
+    bk[mask] = bucket_ints(mix.view(np.int64), num_partitions)
+    return bk
 
 
 #: floor for derived exchange widths — matches the historical static
@@ -125,6 +140,52 @@ def derive_num_partitions(
     return max(floor, -(-int(approx_rows) // rows_per_group))
 
 
+def zero_fill(n: int, t: pa.DataType) -> pa.Array:
+    """``n`` zero values of type ``t`` for a column a union side lacks.
+    Zero, not null: nulls float int64 columns in the pandas group
+    frame, corrupting ids >= 2^53 on the cast back (and blocking
+    non-numeric keys).  The filled values sit only on the OTHER side's
+    rows and are never read."""
+    if pa.types.is_integer(t):
+        return pa.array([0] * n, t)
+    if pa.types.is_floating(t):
+        return pa.array([0.0] * n, t)
+    if pa.types.is_string(t):
+        return pa.array([""] * n, t)
+    return pa.nulls(n, t)
+
+
+def _key_buckets(batch: pa.Table, key_cols: list, num_partitions: int) -> np.ndarray:
+    """Bucket per row for a one- or many-column key: each column through
+    :func:`bucket_col`, a composite key's buckets combined pairwise."""
+    bk = bucket_col(batch.column(key_cols[0]), num_partitions)
+    for c in key_cols[1:]:
+        cb = bucket_col(batch.column(c), num_partitions)
+        bk = bucket_int_pairs(bk, cb, num_partitions)
+    return bk
+
+
+def _hot_mask(batch: pa.Table, key_cols: list, hot_keys: list) -> np.ndarray:
+    """Rows whose key is in ``hot_keys`` (tuples for a composite key),
+    by one ``pc.is_in``.  A composite key compares as its columns'
+    string forms joined by the unit separator (never inside a value
+    here), the hot keys cast and joined the same way."""
+    cols = [batch.column(c) for c in key_cols]
+    if len(cols) == 1:
+        keys, hot = cols[0], pa.array(hot_keys, cols[0].type)
+    else:
+
+        def joined(arrays):
+            strs = [pc.cast(x, pa.string()) for x in arrays]
+            return pc.binary_join_element_wise(*strs, "\x1f")
+
+        keys = joined(cols)
+        hot = joined(
+            [pa.array([k[i] for k in hot_keys], c.type) for i, c in enumerate(cols)]
+        )
+    return np.asarray(pc.is_in(keys, value_set=hot).to_numpy(zero_copy_only=False))
+
+
 def _union_bucketed(
     left_ds,
     right_ds,
@@ -135,8 +196,8 @@ def _union_bucketed(
     replicate_keys=None,
 ):
     """Union both sides under one schema with (bucket, side) tags.
-    Columns a side lacks are ZERO-FILLED (see default_array) so pandas
-    group frames keep exact dtypes.  Returns (union_ds, left_cols).
+    Columns a side lacks are ZERO-FILLED (see :func:`zero_fill`) so
+    pandas group frames keep exact dtypes.  Returns (union_ds, left_cols).
 
     ``right_prebatch`` (batch → batch, same columns) is fused into the
     right aligner — schema is derived from the PRE-transform dataset,
@@ -153,12 +214,12 @@ def _union_bucketed(
 
     ``replicate_keys`` (hot-key salting): keys in this set get their
     RIGHT rows replicated into every bucket and their LEFT rows spread
-    uniformly across buckets (by a per-row secondary hash), so one
-    dominant key no longer funnels all of its left rows into a single
-    merge task.  The output SET is unchanged — every spread left row
-    still meets the full right side of its key.  Valid only for join
-    modes where right rows may appear in several buckets without
-    changing semantics (inner/left/semi/anti — the CALLER guards).
+    uniformly across buckets (:func:`spread_rows`), so one dominant key
+    no longer funnels all of its left rows into a single merge task.
+    The output SET is unchanged — every spread left row still meets
+    the full right side of its key.  Valid only for join modes where
+    right rows may appear in several buckets without changing
+    semantics (inner/left/semi/anti — the CALLER guards).
     """
     def names_of(ds):
         sch = ds.schema()
@@ -183,148 +244,39 @@ def _union_bucketed(
     types = {
         c: _pa_col_type(left_ds if c in left_names else right_ds, c) for c in all_cols
     }
-
-    def default_array(n: int, t: pa.DataType) -> pa.Array:
-        # ZERO-VALUE fill, not nulls: nulls float int64 columns in the
-        # pandas group frame, corrupting ids >= 2^53 on the cast back
-        # (and blocking non-numeric keys).  The filled values sit only
-        # on the OTHER side's rows and are never read.
-        if pa.types.is_integer(t):
-            return pa.array([0] * n, t)
-        if pa.types.is_floating(t):
-            return pa.array([0.0] * n, t)
-        if pa.types.is_string(t):
-            return pa.array([""] * n, t)
-        return pa.nulls(n, t)
-
-    hot = set(replicate_keys) if replicate_keys else None
-    # hot-set fast path: an all-integer hot set over a single integer
-    # key column stays fully vectorized (np.isin + splitmix64 re-mix)
-    hot_ints = None
-    if hot is not None and all(isinstance(k, (int, np.integer)) for k in hot):
-        hot_ints = np.fromiter((int(k) for k in hot), dtype=np.int64, count=len(hot))
+    key_cols = _key_list(key_col)
+    hot = list(replicate_keys) if replicate_keys else None
 
     def aligner(present: list, side: int):
         def align(batch: pa.Table) -> pa.Table:
             if side == 1 and right_prebatch is not None:
                 batch = right_prebatch(batch)
             n = batch.num_rows
-            arrays = [
-                batch.column(c) if c in present else default_array(n, types[c])
-                for c in all_cols
-            ]
-            key_cols = _key_list(key_col)
-            if len(key_cols) == 1:
-                kc = batch.column(key_cols[0])
-                import pyarrow.types as pat
-
-                if pat.is_integer(kc.type) and (hot is None or hot_ints is not None):
-                    # fast path: vectorized integer bucketing (the
-                    # overwhelmingly common case — int64 ids); null
-                    # keys are rejected later by the same merge-side
-                    # guard, but view() needs them filled first
-                    iv = np.asarray(
-                        kc.fill_null(0).to_numpy(zero_copy_only=False)
-                    ).astype(np.int64)
-                    bk = bucket_ints(iv, num_partitions)
-                    if hot_ints is not None:
-                        mask = np.isin(iv, hot_ints)
-                        if mask.any() and side == 0:
-                            # hot LEFT rows spread uniformly: re-mix the
-                            # key with a per-row ordinal (which bucket a
-                            # row lands in is irrelevant — every bucket
-                            # holds the key's full right side)
-                            idx = np.flatnonzero(mask).astype(np.uint64)
-                            mix = iv[mask].astype(np.uint64) + (
-                                (idx + np.uint64(1)) << np.uint64(32)
-                            )
-                            bk[mask] = bucket_ints(
-                                mix.view(np.int64), num_partitions
-                            )
-                        elif mask.any():
-                            # hot RIGHT rows replicate into EVERY bucket
-                            t = pa.Table.from_arrays(arrays, names=all_cols)
-                            cold = t.filter(pa.array(~mask)).append_column(
-                                "bucket", pa.array(bk[~mask], pa.int32())
-                            )
-                            hot_t = t.filter(pa.array(mask))
-                            parts = [cold]
-                            for bnum in range(num_partitions):
-                                parts.append(
-                                    hot_t.append_column(
-                                        "bucket",
-                                        pa.array(
-                                            [bnum] * hot_t.num_rows, pa.int32()
-                                        ),
-                                    )
-                                )
-                            out = pa.concat_tables(parts)
-                            return out.append_column(
-                                "side", pa.array([side] * out.num_rows, pa.int8())
-                            )
-                    arrays.append(pa.array(bk, pa.int32()))
-                    arrays.append(pa.array([side] * n, pa.int8()))
-                    return pa.Table.from_arrays(
-                        arrays, names=all_cols + ["bucket", "side"]
-                    )
-            if len(key_cols) == 1:
-                keys = batch.column(key_cols[0]).to_pylist()
-            else:
-                # composite key: unit-separator join (columns never
-                # contain \x1f after any normalization here) so
-                # ('a','bc') and ('ab','c') bucket apart
-                kls = [batch.column(c).to_pylist() for c in key_cols]
-                keys = list(zip(*kls))
-
-            def kstr(k) -> str:
-                return (
-                    str(k)
-                    if len(key_cols) == 1
-                    else "\x1f".join(str(x) for x in k)
-                )
-
-            if hot is None:
-                buckets = [
-                    zlib.crc32(kstr(k).encode()) % num_partitions for k in keys
-                ]
-            elif side == 0:
-                # hot left rows spread uniformly by a per-row secondary
-                # hash — which bucket a row lands in doesn't matter
-                # (every bucket holds the key's full right side), only
-                # that no single task gets them all
-                buckets = [
-                    zlib.crc32(kstr(k).encode()) % num_partitions
-                    if k not in hot
-                    else zlib.crc32(f"{kstr(k)}\x1f#{i}".encode()) % num_partitions
-                    for i, k in enumerate(keys)
-                ]
-            else:
-                # hot right rows replicate into EVERY bucket
-                hot_mask = pa.array([k in hot for k in keys], pa.bool_())
-                cold = pa.Table.from_arrays(arrays, names=all_cols).filter(
-                    pc.invert(hot_mask)
-                )
-                cold_keys = [k for k in keys if k not in hot]
-                cold_buckets = pa.array(
-                    [zlib.crc32(kstr(k).encode()) % num_partitions for k in cold_keys],
-                    pa.int32(),
-                )
-                cold = cold.append_column("bucket", cold_buckets)
-                hot_t = pa.Table.from_arrays(arrays, names=all_cols).filter(hot_mask)
-                parts = [cold]
-                for b in range(num_partitions):
-                    parts.append(
-                        hot_t.append_column(
-                            "bucket", pa.array([b] * hot_t.num_rows, pa.int32())
+            t = pa.Table.from_arrays(
+                [
+                    batch.column(c) if c in present else zero_fill(n, types[c])
+                    for c in all_cols
+                ],
+                names=all_cols,
+            )
+            bk = _key_buckets(batch, key_cols, num_partitions)
+            mask = _hot_mask(batch, key_cols, hot) if hot is not None else None
+            if mask is not None and mask.any():
+                if side == 0:
+                    bk = spread_rows(bk, mask, num_partitions)
+                else:
+                    # hot RIGHT rows replicate into EVERY bucket
+                    hot_idx = np.flatnonzero(mask)
+                    t = t.take(
+                        np.concatenate(
+                            [np.flatnonzero(~mask), np.tile(hot_idx, num_partitions)]
                         )
                     )
-                out = pa.concat_tables(parts)
-                return out.append_column(
-                    "side", pa.array([side] * out.num_rows, pa.int8())
-                )
-            arrays.append(pa.array(buckets, pa.int32()))
-            arrays.append(pa.array([side] * n, pa.int8()))
-            return pa.Table.from_arrays(arrays, names=all_cols + ["bucket", "side"])
+                    bk = np.concatenate(
+                        [bk[~mask], np.repeat(np.arange(num_partitions), len(hot_idx))]
+                    )
+            t = t.append_column("bucket", pa.array(bk, pa.int32()))
+            return t.append_column("side", pa.array(np.full(t.num_rows, side, np.int8)))
 
         return align
 
@@ -341,74 +293,33 @@ def run_bucket_groups(
     batch_format: str = "pandas",
     bucket_col_name: str = "bucket",
 ):
-    """Execute the repo's standard ``groupby("bucket").map_groups(fn)``
-    exchange — as the TWO-WAVE raw-task exchange (``bucket_tasks``) at
-    bounded widths, falling back to the Dataset sort shuffle beyond.
-
-    The sort shuffle pays seconds of fixed barrier latency per exchange
-    at ANY data size (BASELINE anatomy note; the copurchase pair Sum
-    measured 17 s of stage wall for ~1M partial rows where the raw
-    exchange runs the whole operator in 3 s).  Semantics match
-    map_groups: ``fn`` runs once per NON-EMPTY bucket with the whole
-    bucket in one frame/table (the ``bucket`` column still present);
-    buckets left empty are skipped, and a fully-empty result keeps one
-    typed empty block so downstream schema probes behave.
-
-    Eagerness caveat: the raw path executes the union's lineage NOW
-    (``to_arrow_refs``), where the Dataset path is lazy — callers that
-    need laziness (none in-repo; schema probes were the reason several
-    sites pre-materialize) should call the Dataset form directly.
+    """The repo's standard ``groupby("bucket").map_groups(fn)``: the
+    rows are already tagged with their bucket, so this is
+    :func:`bucket_tasks.exchange_map_groups` with a bucket fn that
+    reads that column and, for ``batch_format="pandas"``, ``fn``
+    adapted to frames.  Semantics match map_groups: ``fn`` runs once
+    per NON-EMPTY bucket, inside the exchange's merge task, with the
+    whole bucket in one frame/table (the bucket column still present);
+    a fully-empty result keeps one typed empty block.  Width gate,
+    fallback and eagerness are :func:`exchange_map_groups`'s.
     """
-    from .bucket_tasks import TASK_EXCHANGE_MAX_PARTITIONS, exchange_to_bucket_refs
+    from .bucket_tasks import exchange_map_groups
 
-    if num_partitions > TASK_EXCHANGE_MAX_PARTITIONS:
-        return union_ds.groupby(bucket_col_name).map_groups(
-            fn, batch_format=batch_format
-        )
-
-    import ray
-    import ray.data as rd
-
+    group_fn = fn
     if batch_format == "pandas":
 
-        def group_fn(t: pa.Table):
+        def group_fn(t: pa.Table) -> pa.Table:
             out = fn(t.to_pandas())
             if isinstance(out, pa.Table):  # map_groups tolerates either
                 return out
             return pa.Table.from_pandas(out, preserve_index=False)
 
-    else:
-
-        def group_fn(t: pa.Table):
-            return fn(t)
-
-    @ray.remote(num_returns=2)
-    def run_group(t: pa.Table):
-        if t.num_rows == 0:
-            return t, 0  # skipped — map_groups never sees empty groups
-        out = group_fn(t)
-        return out, out.num_rows
-
-    refs = exchange_to_bucket_refs(
-        union_ds.to_arrow_refs(),
-        lambda t: np.asarray(t.column(bucket_col_name).to_numpy(zero_copy_only=False)),
+    return exchange_map_groups(
+        union_ds,
+        lambda t: t.column(bucket_col_name).to_numpy(),
         num_partitions,
+        group_fn,
     )
-    pairs = [run_group.remote(r) for r in refs]
-    counts = ray.get([n for _, n in pairs])
-    live = [t for (t, _), n in zip(pairs, counts) if n > 0]
-    if not live:
-        # preserve ONE typed empty output block: run fn on an empty
-        # (typed) group table so the schema matches the non-empty case
-        @ray.remote
-        def empty_out(t: pa.Table):
-            try:
-                return group_fn(t)
-            except Exception:
-                return t.slice(0, 0)
-
-        live = [empty_out.remote(refs[0])]
-    return rd.from_arrow_refs(live)
 
 
 def _check_right_cols(left_ds, right_value_cols, suffix: str, extra=()) -> None:
@@ -564,8 +475,8 @@ def hash_join(
     Deliberately NOT ``Dataset.join``: in Ray 2.49 a join whose output
     feeds another hash shuffle silently emits zero rows (see
     dedup_by_pairs_join).  Same-bucket hash-partition discipline
-    instead: both sides tagged ``crc32(key) % num_partitions``, one
-    union + groupby(bucket), in-group vectorized ``pd.merge`` — per-
+    instead: both sides tagged ``bucket_col(key, num_partitions)``,
+    one union + bucket exchange, in-group vectorized ``pd.merge`` — per-
     task memory is bounded by the bucket, works for any key dtype, and
     the output is safe to shuffle again.  Size ``num_partitions`` ≈
     total_bytes / 512 MB.  For a SMALL right side prefer a ``ray.put``

@@ -79,7 +79,7 @@ def remove_common_lines_join(
     has billions of repeated lines.  Here nothing is collected: documents
     explode to (doc, line_idx, line, line_hash) rows, hot lines stay a
     Dataset, and membership is an explicit SAME-KEY-BUCKET hash join —
-    both sides carry ``bucket = crc32(line_hash) % num_partitions``,
+    both sides carry ``bucket = bucket_col(line_hash, num_partitions)``,
     union, one groupby(bucket), and each group filters its line rows
     against its own hot subset vectorized.  (Implemented on groupby
     rather than ``Dataset.join`` because Ray 2.49's hash join breaks
@@ -89,18 +89,16 @@ def remove_common_lines_join(
     for bounded memory at any hot-set size.  Returns (id_col, text_col)
     only; text equals the broadcast path (tested).
     """
+    from .joins import bucket_col, derive_num_partitions, run_bucket_groups, zero_fill
+
     if num_partitions is None:
-        from .joins import derive_num_partitions
-
         num_partitions = derive_num_partitions(ds, floor=32)
-    import zlib
-
     import pandas as pd
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
-    def bucket_of(h: str) -> int:
-        return zlib.crc32(h.encode()) % num_partitions
+    def bucket_of(hashes) -> pa.Array:
+        return pa.array(bucket_col(hashes, num_partitions), pa.int32())
 
     from ..schema_utils import pa_col_type
 
@@ -123,28 +121,29 @@ def remove_common_lines_join(
                 lines.append(ln)
                 hashes.append(_line_hash(ln))
         id_type = batch.schema.field(id_col).type
+        hashes = pa.array(hashes, pa.string())
         return pa.Table.from_arrays(
             [
                 pa.array(ids, id_type),
                 pa.array(idxs, pa.int64()),
                 pa.array(lines, pa.string()),
-                pa.array(hashes, pa.string()),
-                pa.array([bucket_of(h) for h in hashes], pa.int32()),
+                hashes,
+                bucket_of(hashes),
                 pa.array([0] * len(ids), pa.int8()),  # side 0 = line row
             ],
             names=[id_col, "line_idx", "line", "line_hash", "bucket", "side"],
         )
 
     def hot_rows(batch: pa.Table) -> pa.Table:
-        hashes = batch.column("line_hash").to_pylist()
+        hashes = batch.column("line_hash")
         n = len(hashes)
         return pa.Table.from_arrays(
             [
-                pa.nulls(n, id_type),
+                zero_fill(n, id_type),
                 pa.array([0] * n, pa.int64()),
                 pa.array([""] * n, pa.string()),
-                pa.array(hashes, pa.string()),
-                pa.array([bucket_of(h) for h in hashes], pa.int32()),
+                hashes,
+                bucket_of(hashes),
                 pa.array([1] * n, pa.int8()),  # side 1 = hot-hash row
             ],
             names=[id_col, "line_idx", "line", "line_hash", "bucket", "side"],
@@ -167,8 +166,6 @@ def remove_common_lines_join(
         hot_set = set(g.loc[g["side"] == 1, "line_hash"])
         keep = g[(g["side"] == 0) & (~g["line_hash"].isin(hot_set))]
         return keep[[id_col, "line_idx", "line"]]
-
-    from .joins import run_bucket_groups
 
     kept = run_bucket_groups(
         exploded.union(hot), num_partitions, filter_in_bucket

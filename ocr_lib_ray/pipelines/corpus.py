@@ -50,20 +50,19 @@ def _exact_losers(keyed: rd.Dataset, num_buckets: int) -> rd.Dataset:
     """(doc_id, fp) rows → Dataset of exact-dedup losers (column ``d2``).
 
     A loser is any non-min doc_id of a duplicated fp (the Min-winner
-    policy of the broadcast path).  Grouping is on ``crc32(fp) %
-    num_buckets`` — fp groups are near-singleton and per-group Python
+    policy of the broadcast path).  Grouping is on ``bucket_col(fp,
+    num_buckets)`` — fp groups are near-singleton and per-group Python
     dispatch over them is the dominant cost otherwise (the
     sessionize_salted lesson) — with the fine key resolved vectorized
     inside the bucket.  Never collects; feeds dedup_by_pairs_join.
     """
-    import zlib
-
     import numpy as np
     import pandas as pd
 
+    from ..functions.joins import bucket_col
+
     def tag(b: pa.Table) -> pa.Table:
-        fps = b.column("fp").to_pylist()
-        buckets = [zlib.crc32(f.encode()) % num_buckets for f in fps]
+        buckets = bucket_col(b.column("fp"), num_buckets)
         return b.append_column("bucket", pa.array(buckets, pa.int32()))
 
     def find_losers(g: pd.DataFrame) -> pd.DataFrame:

@@ -6,14 +6,13 @@ Distributed form of ``read-image-fn``
     read_parquet (column-pruned)
       → map_batches(synthesize_pages)          # fixture source stage
       → map_batches(add_partition_meta)        # url-hash partition id + size
-      → [skew route on html_len]               # band-split analog
       → map_batches(ExtractDocuments, actor pool)  # the kernel
       → union → write/groupby-manifest sink
 
 No stage materializes the dataset; the only all-to-all exchange is the
 optional per-partition manifest groupby in :func:`run_extract_job`
 (SURVEY.md §7.3).  See :func:`extract_pipeline` for the measured
-compute-strategy decisions (tasks vs actor pool, opt-in skew routing).
+compute-strategy decisions (tasks vs actor pool).
 """
 
 from __future__ import annotations
@@ -24,12 +23,7 @@ import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, ExtractConfig
 from ..sources.pages import synthesize_pages_batch
-from ..stages.extract_stage import (
-    ExtractDocuments,
-    RoutedExtractDocuments,
-    extract_batch,
-    routed_extract_batch,
-)
+from ..stages.extract_stage import ExtractDocuments, extract_batch
 from ..stages.manifest import (
     completed_partitions,
     make_partition_writer,
@@ -64,7 +58,6 @@ def _pool_size(cfg: ExtractConfig) -> tuple:
 def extract_pipeline(
     pages: rd.Dataset,
     cfg: ExtractConfig = DEFAULT_CONFIG,
-    skew_route: bool = False,
     bundle_ref=None,
 ) -> rd.Dataset:
     """pages Dataset → extracted Dataset (lazy, streaming).
@@ -80,15 +73,10 @@ def extract_pipeline(
     * ``bundle_ref`` set — ACTOR POOL: the classifier bundle (the
       ``signs`` template-store analog) is fetched once per actor in
       ``__init__`` and shared across batches.
-    * ``skew_route=True`` — SINGLE-PASS in-task routing on
-      ``len(html)``: each batch splits into bulk rows (vectorized
-      extract) and giant rows (sequential, one kernel call per row, so
-      per-task peak memory is bounded by ONE giant parse).  The source
-      is read exactly once (round 4; the old dual-filter path paid a
-      second pruned read).  Independent of routing, the kernel parses
-      any page above ``giant_threshold`` in bounded chunk passes, and
-      ``batch_size`` bounds co-resident rows — routing only narrows
-      tail latency.
+
+    Giant pages need no routing: the kernel parses any page above
+    ``giant_threshold`` in bounded chunk passes, and ``batch_size``
+    bounds co-resident rows.
     """
     import functools
 
@@ -105,26 +93,6 @@ def extract_pipeline(
         )
     else:
         extract_kw = dict(fn=functools.partial(extract_batch, cfg=cfg))
-    if skew_route:
-        # SINGLE-PASS routing (round 4): one stage splits each batch
-        # in-task on html_len — bulk rows extract vectorized, giant
-        # rows parse sequentially (memory bounded by ONE giant parse
-        # per task).  The old dual path paid a second full pass over
-        # the (pruned) source for the giant filter; a bundle reaches
-        # both routes by construction here (one instance).
-        if bundle_ref is not None:
-            return ds.map_batches(
-                RoutedExtractDocuments,
-                fn_constructor_args=(cfg, bundle_ref),
-                concurrency=_pool_size(cfg),
-                batch_format="pyarrow",
-                batch_size=cfg.bulk_batch_size,
-            )
-        return ds.map_batches(
-            functools.partial(routed_extract_batch, cfg=cfg),
-            batch_format="pyarrow",
-            batch_size=cfg.bulk_batch_size,
-        )
     return ds.map_batches(
         batch_format="pyarrow",
         batch_size=cfg.bulk_batch_size,

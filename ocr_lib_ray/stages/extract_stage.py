@@ -92,50 +92,6 @@ class ExtractDocuments:
         return extract_batch(batch, self.cfg, self.tags)
 
 
-class RoutedExtractDocuments(ExtractDocuments):
-    """Single-pass skew routing (round 4, replacing the dual-read
-    two-filter path): each batch is split IN-TASK on ``html_len`` —
-    bulk rows extract vectorized in one kernel call, giant rows
-    (``html_len >= cfg.giant_threshold``) parse SEQUENTIALLY one row
-    per call, so per-task peak memory is bounded by ONE giant parse
-    plus the bulk sub-batch.  The source is read exactly once; a
-    re-taught bundle reaches both routes by construction (one
-    instance).  Concurrent giant parses are bounded by the stage
-    concurrency — same memory envelope the old (1, 2)-actor giant pool
-    enforced, without the second pass."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        giant = pc.greater_equal(
-            batch.column("html_len"), self.cfg.giant_threshold
-        )
-        giants = batch.filter(giant)
-        bulk = batch.filter(pc.invert(giant))
-        parts = [extract_batch(bulk, self.cfg, self.tags)]
-        for i in range(giants.num_rows):
-            parts.append(extract_batch(giants.slice(i, 1), self.cfg, self.tags))
-        return pa.concat_tables(parts)
-
-
-def routed_extract_batch(batch: pa.Table, cfg=None) -> pa.Table:
-    """Stateless-task form of :class:`RoutedExtractDocuments` (no
-    bundle): same in-task size routing, usable as a plain function so
-    the default path keeps the measured stateless-task win."""
-    import pyarrow.compute as pc
-
-    from ..config import DEFAULT_CONFIG
-
-    cfg = cfg or DEFAULT_CONFIG
-    giant = pc.greater_equal(batch.column("html_len"), cfg.giant_threshold)
-    giants = batch.filter(giant)
-    bulk = batch.filter(pc.invert(giant))
-    parts = [extract_batch(bulk, cfg)]
-    for i in range(giants.num_rows):
-        parts.append(extract_batch(giants.slice(i, 1), cfg))
-    return pa.concat_tables(parts)
-
-
 def _band_task_fn():
     """Lazily-decorated remote band parser (module import stays Ray-free
     until the parallel path is actually used)."""

@@ -1,14 +1,10 @@
-"""url-hash partitioning + skew routing (north_rule scale machinery).
+"""url-hash partitioning (north_rule scale machinery).
 
 Partition key = ``crc32(url) % P`` — stable across processes, Python
 versions and runs (unlike ``hash()``), so the output layout is
 deterministic and a resumed job maps every url to the same partition.
-
-Skew routing is the analog of the reference's band split for big pages
-(core.clj:1460-1481): documents whose ``len(html)`` exceeds
-``giant_threshold`` go through a small-batch path so one giant page
-cannot blow up a bulk batch's memory; the kernel additionally parses
-giant pages in bounded chunk passes (tokenize_chunked).
+Giant pages need no routing here: the kernel parses pages past
+``giant_threshold`` in bounded chunk passes (tokenize_chunked).
 """
 
 from __future__ import annotations
@@ -28,23 +24,12 @@ def add_partition_meta(batch: pa.Table, num_partitions: int) -> pa.Table:
         dtype=np.int32,
         count=len(urls),
     )
-    # null html counts as length 0 — a null comparison would yield a null
-    # mask and the skew-route filters would silently DROP the row from
-    # both branches (caught by test_null_html_survives_skew_route)
+    # null html counts as length 0 — a null length would yield a null
+    # mask in any html_len filter and silently DROP the row (pinned by
+    # test_null_html_survives_extract)
     lens = pc.coalesce(pc.binary_length(batch.column("html")), pa.scalar(0, pa.int32()))
     out = batch.append_column("partition_id", pa.array(pids, pa.int32()))
     return out.append_column("html_len", lens.cast(pa.int64()))
-
-
-def make_size_filter(lo: int, hi: int):
-    """Vectorized size-band filter for map_batches (lo <= html_len < hi)."""
-
-    def _filter(batch: pa.Table) -> pa.Table:
-        lens = batch.column("html_len")
-        mask = pc.and_(pc.greater_equal(lens, lo), pc.less(lens, hi))
-        return batch.filter(mask)
-
-    return _filter
 
 
 def drop_columns(*names):

@@ -483,61 +483,131 @@ def test_hash_join_composite_key_all_modes():
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_exchange_map_groups_contract_and_fallback(monkeypatch):
+    """The group fn runs once per NON-EMPTY bucket and only those reach
+    the output; an all-empty exchange is ONE typed empty block; past
+    the width gate the sort-shuffle fallback yields the same rows."""
+    import pyarrow as pa
+
+    from ocr_lib_ray.functions import bucket_tasks
+    from ocr_lib_ray.functions.bucket_tasks import exchange_map_groups
+
+    keys = [0, 5, 9] * 10
+    ds = (
+        rd.from_arrow(
+            pa.table(
+                {"k": pa.array(keys, pa.int64()), "v": pa.array(range(30), pa.int64())}
+            )
+        )
+        .repartition(4)
+        .materialize()
+    )
+
+    def bucket_fn(t):
+        return t.column("k").to_numpy() % 16
+
+    def group(t):
+        if t.num_rows == 0:
+            raise AssertionError("group fn saw an empty bucket")
+        return t.group_by("k").aggregate([("v", "sum")])
+
+    def rows(out):
+        return sorted((r["k"], r["v_sum"]) for r in out.take_all())
+
+    want = sorted(
+        (k, sum(v for v, kk in zip(range(30), keys) if kk == k)) for k in {0, 5, 9}
+    )
+    raw = exchange_map_groups(ds, bucket_fn, 16, group)
+    assert raw.num_blocks() == 3
+    assert rows(raw) == want
+
+    empty = exchange_map_groups(
+        ds,
+        bucket_fn,
+        16,
+        lambda t: t.group_by("k").aggregate([("v", "sum")]),
+        pre_fn=lambda t: t.slice(0, 0),
+    )
+    assert empty.num_blocks() == 1 and empty.count() == 0
+    assert sorted(empty.schema().names) == ["k", "v_sum"]
+
+    monkeypatch.setattr(bucket_tasks, "TASK_EXCHANGE_MAX_PARTITIONS", 8)
+    assert rows(exchange_map_groups(ds, bucket_fn, 16, group)) == want
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_hash_join_replicate_keys_equivalence():
     """Skew salting: a dominant key (90% of left rows) joined with and
     without replicate_keys yields the identical output SET across
-    inner/left/semi/anti; outer modes reject it."""
+    inner/left/semi/anti, for an int64, a string and a composite key;
+    outer modes reject it."""
     import pyarrow as pa
     import ray.data as rd
 
     from ocr_lib_ray.functions.joins import hash_join
 
     n = 400
-    left = rd.from_arrow(
-        pa.table(
+    ks = [7 if i % 10 else i for i in range(n)]
+    right_k = [7, 7, 20, 30]
+    cases = [
+        # (key, left key columns, right key columns, hot keys)
+        (
+            "k",
+            {"k": pa.array(ks, pa.int64())},
+            {"k": pa.array(right_k, pa.int64())},
+            {7},
+        ),
+        (
+            "k",
+            {"k": pa.array([f"u{k}" for k in ks])},
+            {"k": pa.array([f"u{k}" for k in right_k])},
+            {"u7"},
+        ),
+        (
+            ["k", "k2"],
+            {"k": pa.array(ks, pa.int64()), "k2": pa.array([f"u{k}" for k in ks])},
             {
-                "k": pa.array(
-                    [7 if i % 10 else i for i in range(n)], pa.int64()
-                ),
-                "v": pa.array(list(range(n)), pa.int64()),
-            }
-        )
-    ).repartition(5)
-    right = rd.from_arrow(
-        pa.table(
-            {
-                "k": pa.array([7, 7, 20, 30], pa.int64()),
-                "w": pa.array([1, 2, 3, 4], pa.int64()),
-            }
-        )
-    )
+                "k": pa.array(right_k, pa.int64()),
+                "k2": pa.array([f"u{k}" for k in right_k]),
+            },
+            {(7, "u7")},
+        ),
+    ]
 
     def canon(ds, cols):
         return sorted(tuple(r[c] for c in cols) for r in ds.take_all())
 
-    for how, cols in [
-        ("inner", ["k", "v", "w_r"]),
-        ("left", ["k", "v"]),
-        ("semi", ["k", "v"]),
-        ("anti", ["k", "v"]),
-    ]:
-        kw = dict(right_value_cols=["w"]) if how in ("inner", "left") else {}
-        plain = canon(
-            hash_join(left, right, "k", how=how, num_partitions=4, **kw), cols
+    for key, lcols, rcols, hot in cases:
+        kcols = [key] if isinstance(key, str) else key
+        left = rd.from_arrow(
+            pa.table({**lcols, "v": pa.array(list(range(n)), pa.int64())})
+        ).repartition(5)
+        right = rd.from_arrow(
+            pa.table({**rcols, "w": pa.array([1, 2, 3, 4], pa.int64())})
         )
-        salted = canon(
-            hash_join(
-                left,
-                right,
-                "k",
-                how=how,
-                num_partitions=4,
-                replicate_keys={7},
-                **kw,
-            ),
-            cols,
-        )
-        assert salted == plain, how
+        for how, cols in [
+            ("inner", kcols + ["v", "w_r"]),
+            ("left", kcols + ["v"]),
+            ("semi", kcols + ["v"]),
+            ("anti", kcols + ["v"]),
+        ]:
+            kw = dict(right_value_cols=["w"]) if how in ("inner", "left") else {}
+            plain = canon(
+                hash_join(left, right, key, how=how, num_partitions=4, **kw), cols
+            )
+            salted = canon(
+                hash_join(
+                    left,
+                    right,
+                    key,
+                    how=how,
+                    num_partitions=4,
+                    replicate_keys=hot,
+                    **kw,
+                ),
+                cols,
+            )
+            assert salted == plain, (key, how)
 
     with pytest.raises(ValueError, match="replicate_keys"):
         hash_join(

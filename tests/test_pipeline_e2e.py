@@ -109,30 +109,6 @@ def test_pipeline_batchsize_invariance(sf_small):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_skew_route_equivalent(sf_small):
-    """Dual-path routing (band-split analog) must not change output:
-    force a low giant_threshold so real rows take the giant path."""
-    from ocr_lib_ray.pipelines.extract import build_pages_dataset, extract_pipeline
-
-    cfg = ExtractConfig(giant_threshold=900)  # below median page size
-    a = (
-        extract_pipeline(build_pages_dataset(sf_small), cfg, skew_route=True)
-        .to_pandas()
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    b = (
-        extract_pipeline(build_pages_dataset(sf_small), skew_route=False)
-        .to_pandas()
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    assert len(a) == len(b)
-    assert (a["url"] == b["url"]).all()
-    assert (a["text"] == b["text"]).all()
-
-
-@pytest.mark.usefixtures("ray_session")
 def test_actor_pool_with_bundle_equivalent(sf_small):
     """bundle_ref path (actor pool, state fetched once per actor) must
     produce identical output to the stateless-task path."""
@@ -201,35 +177,6 @@ def test_bundle_threshold_overrides(sf_small):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_skew_route_with_bundle_equivalent(sf_small):
-    """skew_route x bundle_ref: the re-taught TagConfig must reach BOTH
-    routes.  With <article> re-taught as boilerplate and a giant_threshold
-    below the median page size, rows on the giant path must be classified
-    with the bundle's tags too (empty text), not DEFAULT_TAGS."""
-    from ocr_lib_ray.pipelines.extract import build_pages_dataset, extract_pipeline
-    from ocr_lib_ray.state.bundle import broadcast_bundle, build_bundle
-
-    ref2 = broadcast_bundle(build_bundle(extra_boilerplate=["article"]))
-    cfg = ExtractConfig(giant_threshold=900)  # real rows take the giant path
-    routed = extract_pipeline(
-        build_pages_dataset(sf_small), cfg, skew_route=True, bundle_ref=ref2
-    ).to_pandas()
-    html_rows = routed[routed["doc_kind"] == "html"]
-    assert len(html_rows) > 0
-    assert (html_rows["text"] == "").all()
-    # and full equivalence: routed+bundle == unrouted+bundle
-    a = routed.sort_values("url").reset_index(drop=True)
-    b = (
-        extract_pipeline(build_pages_dataset(sf_small), bundle_ref=ref2)
-        .to_pandas()
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    assert (a["url"] == b["url"]).all()
-    assert (a["text"] == b["text"]).all()
-
-
-@pytest.mark.usefixtures("ray_session")
 def test_giant_page_through_pipeline():
     """A page above giant_threshold flows through the pipeline via the
     kernel's bounded chunked parse and matches the one-shot kernel."""
@@ -253,7 +200,7 @@ def test_giant_page_through_pipeline():
             names=["url", "warc_ts", "html", "text", "lang"],
         )
     )
-    out = extract_pipeline(pages, skew_route=True).to_pandas()
+    out = extract_pipeline(pages).to_pandas()
     want = extract_document(html)
     assert len(out) == 1
     assert out["text"][0] == want.text

@@ -7,9 +7,9 @@ import pytest
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_null_html_survives_skew_route():
-    """Regression: null html must not vanish from the skew-route split
-    (a null binary_length propagates null through both size filters)."""
+def test_null_html_survives_extract():
+    """Regression: a null-html page must not vanish from extraction
+    (``html_len`` coalesces its null length to 0)."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -27,7 +27,7 @@ def test_null_html_survives_skew_route():
             names=["url", "warc_ts", "html", "text", "lang"],
         )
     )
-    out = extract_pipeline(pages, skew_route=True).to_pandas().sort_values("url")
+    out = extract_pipeline(pages).to_pandas().sort_values("url")
     assert list(out["url"]) == ["u1", "u2"]
     assert list(out["doc_kind"]) == ["empty", "html"]
 
@@ -247,6 +247,23 @@ def test_remove_common_lines_join_equivalent():
     assert list(a["doc_id"]) == list(b["doc_id"]) == [1, 2, 3, 4]
     assert list(a["text"]) == list(b["text"])
     assert b.loc[b["doc_id"] == 3, "text"].iloc[0] == ""
+    assert b["doc_id"].dtype == "int64"
+
+    # a shared (hot) line must not float the ids: past 2^53 a float64
+    # id is no longer exact
+    big = [2**53 + 1, 2**53 + 3]
+    shared = rd.from_pandas(
+        pd.DataFrame({"doc_id": big, "text": ["shared\nmine", "shared\nyours"]})
+    )
+    c = (
+        remove_common_lines_join(shared, max_df=1, num_partitions=4)
+        .to_pandas()
+        .sort_values("doc_id")
+        .reset_index(drop=True)
+    )
+    assert c["doc_id"].dtype == "int64"
+    assert list(c["doc_id"]) == big
+    assert list(c["text"]) == ["mine", "yours"]
 
 
 @pytest.mark.usefixtures("ray_session")
