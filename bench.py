@@ -30,7 +30,9 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+REQUESTED_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+#: Ray is never given more CPUs than this process may run on
+NUM_CPUS = min(REQUESTED_CPUS, len(os.sched_getaffinity(0)))
 REPEAT = int(os.environ.get("GRAFT_BENCH_REPEAT", "200"))
 SHARDS = 128
 
@@ -40,6 +42,15 @@ SKIPPED_QUERIES = {
     "graph_triangles": "raises its max_wedges guard at sf0.1 (wedge volume "
     "1.35e8 > 5e7): the co-supplier graph is too dense there by design",
 }
+
+
+def cpu_record() -> dict:
+    """The CPU counts every bench JSON carries: used, requested, host."""
+    return {
+        "num_cpus": NUM_CPUS,
+        "num_cpus_requested": REQUESTED_CPUS,
+        "os_cpu_count": os.cpu_count(),
+    }
 
 
 def host_alloc_probe() -> float:
@@ -190,7 +201,7 @@ def run_bench() -> dict:
         "n_pages": out_rows,
         "queries": timings,
         "sf": SF_DIR,
-        "num_cpus": NUM_CPUS,
+        **cpu_record(),
         "repeat": REPEAT,
         "host_alloc_probe_sec": [probe_before, host_alloc_probe()],
         "kernel_probe_docs_per_sec": kernel_probe(),
@@ -241,7 +252,8 @@ def run_scaling() -> dict:
     lo = one(lo_cpus)
     hi = one(hi_cpus)
     speedup = lo["value"] / hi["value"]
-    eff = speedup / (hi_cpus / lo_cpus)
+    # a child runs on fewer CPUs than requested when the host has fewer
+    eff = speedup / (hi["num_cpus"] / lo["num_cpus"])
     return {
         "metric": "scaling_efficiency",
         "value": round(eff, 3),
@@ -250,8 +262,10 @@ def run_scaling() -> dict:
         "sec_hi": hi["value"],
         "docs_per_sec_lo": lo["docs_per_sec"],
         "docs_per_sec_hi": hi["docs_per_sec"],
-        "cpus_lo": lo_cpus,
-        "cpus_hi": hi_cpus,
+        "cpus_lo": lo["num_cpus"],
+        "cpus_hi": hi["num_cpus"],
+        "cpus_requested_lo": lo_cpus,
+        "cpus_requested_hi": hi_cpus,
         "speedup": round(speedup, 3),
         "n_pages": hi["n_pages"],
         "sf": SF_DIR,
@@ -292,7 +306,7 @@ def run_headline_only() -> dict:
         "unit": "sec",
         "docs_per_sec": round(out_rows / headline, 1),
         "n_pages": out_rows,
-        "num_cpus": NUM_CPUS,
+        **cpu_record(),
         "host_alloc_probe_sec": [probe_before, host_alloc_probe()],
         "kernel_probe_docs_per_sec": kernel_probe(),
     }
@@ -314,6 +328,12 @@ def write_artifact(result: dict, mode: str) -> None:
 
 
 if __name__ == "__main__":
+    if NUM_CPUS < REQUESTED_CPUS:
+        print(
+            f"bench.py: RAY_GRAFT_CPUS={REQUESTED_CPUS} exceeds the {NUM_CPUS} "
+            f"CPUs this process may run on; using {NUM_CPUS}",
+            file=sys.stderr,
+        )
     if "--scaling" in sys.argv:
         result = run_scaling()
         write_artifact(result, "scaling")

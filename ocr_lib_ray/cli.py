@@ -325,6 +325,7 @@ def main(argv=None) -> int:
     if args.cmd == "tokenize":
         import pyarrow as pa_
 
+        from .functions.joins import run_bucket_groups
         from .functions.tokens import build_vocab, encode_docs, vocab_frame
         from .sources.text_files import read_documents
         from .stages.manifest import safe_wipe_output
@@ -360,11 +361,13 @@ def main(argv=None) -> int:
         # shuffle_shards layout discipline): write_parquet emits one
         # file per (block, partition) pair, so shard-grouped blocks
         # give exactly one file per shard instead of per-block shrapnel
-        enc.map_batches(add_shard, batch_format="pyarrow").groupby(
-            "shard"
-        ).map_groups(lambda g: g, batch_format="pyarrow").write_parquet(
-            f"{args.output}/encoded", partition_cols=["shard"]
-        )
+        run_bucket_groups(
+            enc.map_batches(add_shard, batch_format="pyarrow"),
+            args.shards,
+            lambda g: g,
+            batch_format="pyarrow",
+            bucket_col_name="shard",
+        ).write_parquet(f"{args.output}/encoded", partition_cols=["shard"])
         import glob
 
         rows = sum(

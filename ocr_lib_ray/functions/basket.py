@@ -381,8 +381,8 @@ def copurchase_lift(
             np.asarray(t.column("part_b").to_numpy(zero_copy_only=False), np.int64),
             num_partitions,
         ),
-        num_partitions,
         pair_sum_group,
+        num_partitions,
         pre_fn=lambda t: t.filter(pc.equal(t.column("kind"), 0)).select(
             ["part_a", "part_b", "n"]
         ),

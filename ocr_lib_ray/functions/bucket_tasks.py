@@ -1,24 +1,28 @@
-"""The engine's one bucket exchange: raw Ray tasks in two waves.
+"""The engine's one group exchange: raw Ray tasks in two waves.
 
-Ray Data's ``groupby(bucket).map_groups`` pays a full sort-shuffle
-barrier (~seconds of fixed latency at any data size) EVERY time it
-runs.  Here a dataset is exchanged into ``num_partitions`` buckets by
-two task waves — a per-block split, then a per-bucket merge — with
-nothing landing on the driver but refs and row counts.
+Ray Data's ``groupby(key).map_groups`` pays a full sort-shuffle barrier
+(~seconds of fixed latency at any data size) EVERY time it runs.  Here
+a dataset is exchanged into ``num_partitions`` buckets by two task
+waves — a per-block split, then a per-bucket merge — with nothing
+landing on the driver but refs and row counts.
 
 * :func:`exchange_to_bucket_refs` is the two-wave implementation.
   Iterative algorithms (PageRank) call it directly: their state is
   exchanged ONCE into per-bucket ``ObjectRef``s and every iteration
   then runs as task waves over those refs with NO further shuffles.
-* :func:`exchange_map_groups` is the only Dataset-level entry over it:
-  a ``groupby(bucket).map_groups(fn)`` replacement whose group fn runs
-  inside the merge wave (no third task wave).  It owns the only width
-  gate (:func:`fits_task_exchange`) and the only sort-shuffle fallback.
-  ``joins.run_bucket_groups`` is its pandas-frame adapter.
+* :func:`exchange_map_groups` is the only Dataset-level entry over it,
+  and every group exchange in the engine goes through it.  Its key is
+  a column name or list (the map_groups key: the group fn runs once per
+  distinct key inside the merge task) or a bucket fn (the group fn
+  runs once per bucket — for rows that already carry a bucket id, and
+  for group fns that finish many keys at once).  It owns the only
+  width gate (:func:`fits_task_exchange`), the pandas-frame adapter and
+  the only sort-shuffle fallback, ``ds.groupby(key).map_groups(fn)``.
+  ``joins.run_bucket_groups`` is its form for a bucket-id column.
 
 Partitioning assumption (documented per the custom-operator rule): one
-bucket's rows must fit one task — callers size ``num_partitions`` with
-``derive_num_partitions``, same as the Dataset exchanges.
+bucket's rows must fit one task — ``num_partitions`` comes from
+``derive_num_partitions``, by the caller or by the exchange itself.
 
 Driver cost: the driver holds O(blocks x num_partitions) split refs —
 fine for P up to a few hundred; past that the Dataset sort shuffle
@@ -29,6 +33,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from .joins import _key_buckets, derive_num_partitions
 
 
 def split_table_by_bucket(tbl: pa.Table, buckets: np.ndarray, num_partitions: int):
@@ -67,14 +73,21 @@ def exchange_to_bucket_refs(
     empty buckets after fetching P small ints.
     """
     import ray
+    from ray.data.block import BlockAccessor
 
     if not block_refs:
         raise ValueError("exchange_to_bucket_refs: no input blocks")
+
+    def arrow(block) -> pa.Table:
+        # to_arrow_refs hands pandas blocks through as they are when the
+        # dataset's schema is Arrow (e.g. a union with a pandas side)
+        return BlockAccessor.for_block(block).to_arrow()
 
     if num_partitions == 1:
         # degenerate exchange: one merge task over the raw blocks
         @ray.remote(num_returns=2)
         def merge_all(*tbls):
+            tbls = [arrow(x) for x in tbls]
             if pre_fn is not None:
                 tbls = [pre_fn(x) if x.num_rows > 0 else x for x in tbls]
             live = [x for x in tbls if x.num_rows > 0]
@@ -86,6 +99,7 @@ def exchange_to_bucket_refs(
 
     @ray.remote
     def split(tbl: pa.Table):
+        tbl = arrow(tbl)
         if pre_fn is not None and tbl.num_rows > 0:
             tbl = pre_fn(tbl)
         if tbl.num_rows == 0:
@@ -123,51 +137,113 @@ def fits_task_exchange(num_partitions: int) -> bool:
     return num_partitions <= TASK_EXCHANGE_MAX_PARTITIONS
 
 
-def exchange_map_groups(ds, bucket_fn, num_partitions, group_fn, pre_fn=None):
-    """``groupby(bucket).map_groups(group_fn)`` over the two-wave
-    exchange: ``bucket_fn(pa.Table) -> np.ndarray`` assigns each row a
-    bucket, ``pre_fn`` (optional) runs inside the split task (e.g. a
-    tag filter + column prune, so only the exchanged rows ship), and
-    ``group_fn(pa.Table) -> pa.Table`` runs inside the merge task.
+def split_by_key(tbl: pa.Table, cols: list) -> list:
+    """One sub-table per distinct value of ``cols`` (nulls form one
+    group, as in Ray's groupby), in first-appearance order; rows keep
+    their order inside each group."""
+    rows = tbl.select(cols).append_column(
+        "__row", pa.array(np.arange(tbl.num_rows, dtype=np.int64))
+    )
+    lists = (
+        rows.group_by(cols, use_threads=False)
+        .aggregate([("__row", "list")])
+        .column("__row_list")
+        .combine_chunks()
+    )
+    grouped = tbl.take(lists.flatten())
+    offs = lists.offsets.to_numpy()
+    return [grouped.slice(int(a), int(b - a)) for a, b in zip(offs[:-1], offs[1:])]
 
-    The map_groups contract holds: ``group_fn`` sees each NON-EMPTY
-    bucket once, whole.  The merge tasks return each bucket's row count
-    beside its table and the driver drops the empty buckets.  When
-    every bucket is empty the result is one typed empty block:
-    ``group_fn``'s output on the (zero-row) bucket-0 table, computed on
-    the driver, or that table itself if ``group_fn`` rejects it.
 
-    Past :data:`TASK_EXCHANGE_MAX_PARTITIONS` the same call runs as the
-    Dataset sort shuffle over a temporary bucket column.  The raw path
-    executes ``ds``'s lineage NOW (``to_arrow_refs``); the fallback
-    stays lazy.  Returns a Dataset with one block per non-empty bucket.
+def exchange_map_groups(
+    ds, key, group_fn, num_partitions=None, pre_fn=None, batch_format="pyarrow"
+):
+    """``ds.groupby(key).map_groups(group_fn)`` over the two-wave
+    exchange.  ``key`` is either
+
+    * a column name or list of names: rows hash to buckets with
+      ``joins._key_buckets`` and ``group_fn`` runs once per distinct
+      key, inside the merge task (Ray's map_groups contract); or
+    * a bucket fn ``pa.Table -> np.ndarray`` of ids in
+      ``[0, num_partitions)``: ``group_fn`` runs once per non-empty
+      bucket, whole — for callers whose group fn finishes many keys at
+      once, or whose rows already carry their bucket.
+
+    ``group_fn`` takes and returns a ``pa.Table``, or pandas frames
+    with ``batch_format="pandas"``.  ``pre_fn`` (optional) runs inside
+    the split task (e.g. a tag filter + column prune, so only the
+    exchanged rows ship).  The driver drops empty buckets by the row
+    counts the merge tasks return; if all are empty the result is one
+    zero-row block typed by ``group_fn``'s output on the empty bucket-0
+    table (probed on the driver), or by that table if ``group_fn``
+    rejects it.
+
+    ``num_partitions`` (required with a bucket fn) defaults to
+    ``joins.derive_num_partitions`` of the materialized ``ds`` (its
+    exact row count) capped at its block count: at most one bucket per
+    input block, as in Ray's sort shuffle, so small inputs start no
+    empty merge tasks.  Past :data:`TASK_EXCHANGE_MAX_PARTITIONS` the
+    same call runs as ``ds.groupby(key).map_groups(group_fn)`` (a
+    bucket fn key becomes a temporary bucket column).  The raw path
+    executes ``ds``'s lineage NOW (``materialize``); with an explicit
+    width the fallback stays lazy.  Returns a Dataset with one block
+    per non-empty bucket.
     """
     import ray
     import ray.data as rd
 
+    if num_partitions is None:
+        ds = ds.materialize()
+        num_partitions = max(1, min(derive_num_partitions(ds), ds.num_blocks()))
+
+    def fn(t: pa.Table) -> pa.Table:
+        if batch_format == "pyarrow":
+            return group_fn(t)
+        out = group_fn(t.to_pandas())
+        if isinstance(out, pa.Table):  # map_groups tolerates either
+            return out
+        return pa.Table.from_pandas(out, preserve_index=False)
+
+    by_bucket = callable(key)
+    if by_bucket:
+        bucket_fn, merge_fn = key, fn
+    else:
+        cols = [key] if isinstance(key, str) else list(key)
+
+        def bucket_fn(t: pa.Table) -> np.ndarray:
+            return _key_buckets(t, cols, num_partitions)
+
+        def merge_fn(t: pa.Table) -> pa.Table:
+            outs = [fn(g) for g in split_by_key(t, cols)]
+            return pa.concat_tables(outs, promote_options="default")
+
     if not fits_task_exchange(num_partitions):
         tmp = "__exchange_bucket"
 
-        def tag(t: pa.Table) -> pa.Table:
+        def prep(t: pa.Table) -> pa.Table:
             if t.num_rows == 0:  # possibly schema-less, as in split
                 return t
             if pre_fn is not None:
                 t = pre_fn(t)
-            return t.append_column(tmp, pa.array(bucket_fn(t), pa.int64()))
+            if by_bucket:
+                t = t.append_column(tmp, pa.array(bucket_fn(t), pa.int64()))
+            return t
 
-        return (
-            ds.map_batches(tag, batch_format="pyarrow")
-            .groupby(tmp)
-            .map_groups(
-                lambda t: group_fn(t.drop_columns([tmp])), batch_format="pyarrow"
+        if pre_fn is not None or by_bucket:
+            ds = ds.map_batches(prep, batch_format="pyarrow")
+        if by_bucket:
+            return ds.groupby(tmp).map_groups(
+                lambda t: fn(t.drop_columns([tmp])), batch_format="pyarrow"
             )
-        )
+        return ds.groupby(key).map_groups(group_fn, batch_format=batch_format)
 
     refs, rows = exchange_to_bucket_refs(
-        ds.to_arrow_refs(),
+        # materialize first: to_arrow_refs on a lazy dataset re-runs its
+        # lineage to fetch the schema
+        ds.materialize().to_arrow_refs(),
         bucket_fn,
         num_partitions,
-        merge_fn=lambda t: group_fn(t) if t.num_rows else t,
+        merge_fn=lambda t: merge_fn(t) if t.num_rows else t,
         pre_fn=pre_fn,
     )
     live = [ref for ref, n in zip(refs, ray.get(rows)) if n]
@@ -175,9 +251,9 @@ def exchange_map_groups(ds, bucket_fn, num_partitions, group_fn, pre_fn=None):
         return rd.from_arrow_refs(live)
     empty = ray.get(refs[0])
     try:
-        empty = group_fn(empty)
+        empty = fn(empty).slice(0, 0)
     except Exception:
-        # group fns may assume a non-empty bucket (e.g. read row 0) and
+        # group fns may assume a non-empty group (e.g. read row 0) and
         # fail in any way on this probe; the input-typed block stands in
         pass
     return rd.from_arrow(empty)

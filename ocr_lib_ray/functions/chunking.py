@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
+from .joins import run_bucket_groups
 from .text_stats import normalize_expr
 
 
@@ -65,7 +66,7 @@ def chunk_documents(docs_ds, size: int = 32, overlap: int = 8):
 
 
 #: target chunk rows per packing group — each (partition_id) group
-#: materializes in ONE map_groups task, so this bounds per-task memory.
+#: materializes in ONE exchange merge task, so this bounds per-task memory.
 PACK_ROWS_PER_PARTITION = 100_000
 
 
@@ -137,8 +138,9 @@ def pack_sequences(
         df.insert(0, "partition_id", int(g["partition_id"].iloc[0]))
         return df
 
-    return (
-        chunks_ds.map_batches(add_pid, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("partition_id")
-        .map_groups(pack, batch_format="pandas")
+    return run_bucket_groups(
+        chunks_ds.map_batches(add_pid, batch_format="pyarrow", zero_copy_batch=True),
+        num_partitions,
+        pack,
+        bucket_col_name="partition_id",
     )

@@ -29,6 +29,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .bucket_tasks import exchange_map_groups
+
 MILLI = 1000.0
 
 
@@ -239,11 +241,8 @@ def semantic_dedup(
         dominated = np.triu(cond, k=1).any(axis=0)
         return g.loc[~dominated, [id_col, "cluster"]]
 
-    return (
-        emb_ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("cluster")
-        .map_groups(prune, batch_format="pandas")
-    )
+    tagged = emb_ds.map_batches(tag, batch_format="pyarrow")
+    return exchange_map_groups(tagged, "cluster", prune, batch_format="pandas")
 
 
 def quantize_embeddings(emb_ds, id_col: str = "vec_id", vec_col: str = "embedding"):

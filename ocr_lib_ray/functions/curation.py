@@ -25,6 +25,7 @@ import pyarrow.compute as pc
 
 from .chunking import PACK_ROWS_PER_PARTITION
 from .dedup import _rows_estimate
+from .joins import run_bucket_groups
 
 __all__ = [
     "normalize_aggressive",
@@ -193,7 +194,7 @@ def shuffle_shards(docs_ds, num_shards: int | None = None, approx_rows=None):
     random permutation with NO RNG, re-derivable row-by-row by any
     engine with md5.
 
-    Scale: one hash map + one groupby(shard); each shard sorts
+    Scale: one hash map + one exchange by shard; each shard sorts
     ~rows/S keys in one task, so ``num_shards=None`` derives
     S = ceil(rows / PACK_ROWS_PER_PARTITION) the same way
     pack_sequences sizes its partitions (metadata-first row estimate).
@@ -223,10 +224,12 @@ def shuffle_shards(docs_ds, num_shards: int | None = None, approx_rows=None):
         g = g.take(idx).drop_columns(["h"])
         return g.append_column("pos", pa.array(np.arange(len(g), dtype=np.int64)))
 
-    return (
-        docs_ds.map_batches(key, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("shard")
-        .map_groups(order, batch_format="pyarrow")
+    return run_bucket_groups(
+        docs_ds.map_batches(key, batch_format="pyarrow", zero_copy_batch=True),
+        S,
+        order,
+        batch_format="pyarrow",
+        bucket_col_name="shard",
     )
 
 

@@ -31,12 +31,14 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .bucket_tasks import exchange_map_groups
+from .joins import derive_num_partitions
 from .text_stats import normalize_expr
 
 _MERSENNE = (1 << 61) - 1
 
-#: target rows per LSH shuffle group — every groupby(band, bucket) group
-#: materializes in ONE map_groups task, so this bounds per-task memory.
+#: target rows per LSH shuffle group — every (band, bucket) group
+#: materializes in ONE exchange merge task, so this bounds per-task memory.
 ROWS_PER_GROUP = 100_000
 
 
@@ -304,11 +306,11 @@ def minhash_lsh_pairs(
 
     * ``carry_signatures=True`` (default, best at bench scale): band
       rows carry the full signature (num_perm × 8 B, duplicated per
-      band) and candidate pairs are verified inside the band groupby —
+      band) and candidate pairs are verified inside the band exchange —
       one shuffle, no second pass.
     * ``carry_signatures=False`` (best at 10^12-doc scale): band rows
       carry only (band, band_hash, doc_id) — 16× less shuffle volume —
-      candidates come out of the groupby unverified, and a second pass
+      candidates come out of the exchange unverified, and a second pass
       recomputes signatures ONLY for candidate docs (the candidate set
       is tiny relative to the corpus; its id set is broadcast with
       ``ray.put`` into a vectorized semi-filter).
@@ -318,14 +320,19 @@ def minhash_lsh_pairs(
         group_buckets = derive_group_buckets(docs_ds, approx_rows)
     from ray.data.aggregate import Max
 
+    P = derive_num_partitions(docs_ds, approx_rows=approx_rows)
     if carry_signatures:
         band_rows = docs_ds.map_batches(
             lambda b: minhash_band_rows(b, hasher, bands, group_buckets=group_buckets),
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
-        pairs = band_rows.groupby(["band", "bucket"]).map_groups(
-            lambda g: _pairs_from_band(g, threshold), batch_format="pandas"
+        pairs = exchange_map_groups(
+            band_rows,
+            ["band", "bucket"],
+            lambda g: _pairs_from_band(g, threshold),
+            P,
+            batch_format="pandas",
         )
         # a pair can surface in several bands → keep one row (max estimate)
         return pairs.groupby(["d1", "d2"]).aggregate(
@@ -353,13 +360,13 @@ def minhash_lsh_pairs(
                     d2.append(ids[j])
         return pd.DataFrame({"d1": d1, "d2": d2}).astype({"d1": "int64", "d2": "int64"})
 
-    cand = (
-        band_rows.groupby(["band", "bucket"])
-        .map_groups(candidates_in_band, batch_format="pandas")
-        .groupby(["d1", "d2"])
-        .map_groups(lambda g: g.head(1), batch_format="pandas")
+    cand_df = (  # tiny: candidate pairs only
+        exchange_map_groups(
+            band_rows, ["band", "bucket"], candidates_in_band, P, batch_format="pandas"
+        )
+        .to_pandas()
+        .drop_duplicates(["d1", "d2"])
     )
-    cand_df = cand.to_pandas()  # tiny: candidate pairs only
     cand_ids = pa.array(
         sorted(set(cand_df["d1"]) | set(cand_df["d2"])), pa.int64()
     )
@@ -476,10 +483,10 @@ def expand_components(pairs_ds, max_component: int = 100_000):
     consumer that needs every pair per similarity component (e.g. pair
     auditing, weighted graphs) expands here: components are solved with
     driver-side union-find over the (small) pair list, then each
-    component's k·(k-1)/2 pairs are generated DISTRIBUTED via a
-    per-component map_groups.  Quadratic by definition — components
-    larger than ``max_component`` raise instead of silently melting the
-    cluster (lift the cap deliberately).
+    component's k·(k-1)/2 pairs are generated DISTRIBUTED, one group
+    per component in an exchange keyed by root.  Quadratic by
+    definition — components larger than ``max_component`` raise
+    instead of silently melting the cluster (lift the cap deliberately).
 
     Returns a Dataset of (d1, d2) with d1 < d2.
     """
@@ -511,8 +518,8 @@ def expand_components(pairs_ds, max_component: int = 100_000):
             {"d1": "int64", "d2": "int64"}
         )
 
-    return rd.from_arrow(members).groupby("root").map_groups(
-        clique, batch_format="pandas"
+    return exchange_map_groups(
+        rd.from_arrow(members), "root", clique, batch_format="pandas"
     )
 
 
@@ -958,7 +965,7 @@ def dedup_minhash_incremental(
     Both sides run the SAME banded minhash as :func:`minhash_lsh_pairs`
     (one :class:`MinHasher`, one band-key definition — so the SQL
     replication discipline carries over verbatim).  Shuffle shape:
-    band rows of both sides union → one groupby on (band, bucket)
+    band rows of both sides union → one exchange keyed by (band, bucket)
     (bucket = band_hash % group_buckets keeps groups bounded at any
     corpus size, exactly as in minhash_lsh_pairs); inside a group a new
     doc is a loser when any same-band-hash reference signature matches
@@ -1053,12 +1060,13 @@ def dedup_minhash_incremental(
             {id_col: pd.Series(sorted(hit_ids), dtype=g["doc_id"].dtype)}
         )
 
-    losers = (
-        nb.union(rb)
-        .groupby(["band", "bucket"])
-        .map_groups(losers_fn, batch_format="pandas")
-        .materialize()  # ids-only; emptiness becomes a metadata check
-    )
+    losers = exchange_map_groups(
+        nb.union(rb),
+        ["band", "bucket"],
+        losers_fn,
+        num_partitions,
+        batch_format="pandas",
+    ).materialize()  # ids-only; emptiness becomes a metadata check
     if losers.count() == 0:
         return new_ds
     if mode == "broadcast":
@@ -1223,10 +1231,16 @@ def simhash_pairs(
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    pairs = rows.groupby(["band", "bucket"]).map_groups(
-        lambda g: _simhash_pairs_band(g, max_hamming), batch_format="pandas"
-    )
     from ray.data.aggregate import Min
+
+    P = derive_num_partitions(docs_ds, approx_rows=approx_rows)
+    pairs = exchange_map_groups(
+        rows,
+        ["band", "bucket"],
+        lambda g: _simhash_pairs_band(g, max_hamming),
+        P,
+        batch_format="pandas",
+    )
 
     return pairs.groupby(["d1", "d2"]).aggregate(Min("hamming", alias_name="hamming"))
 

@@ -15,33 +15,27 @@ round 4 the whole update is int64 end-to-end (no float64 left-join
 round-trip).  The binding term is ``DAMP_NUM * (inc + share)`` inside
 :func:`update_bucket` — an 85× int64 multiply that numpy wraps
 silently — so exactness holds while TOTAL rank mass stays below
-2^63 / DAMP_NUM, i.e. N up to ~5e10 nodes (not 2^63 / N ~4e12 as the
-pre-round-5 docstring claimed).
+2^63 / DAMP_NUM, i.e. N up to ~5e10 nodes.
 
-Scale shape (round-4 FUSED iteration): one iteration = exactly TWO
-bucket exchanges.  Exchange A (keyed by src) is a tagged union of the
-static pre-tagged edge table with the rank state; one map_groups task
-per bucket joins edges to their source state rows (searchsorted) AND
-pre-sums contributions per destination — the map-side combine of the
-old Sum groupby fused into the join task, so exchange B ships
-per-bucket partial sums (bounded by distinct dst per bucket), never
-per-edge rows.  Exchange B (keyed by dst == n) unions those partials
-with the node table and finishes {final Sum + left join + damped
-update} in one map_groups task per bucket.  The new state is then
-repartition-clamped to num_partitions: map_groups emits at most
-num_partitions NON-EMPTY blocks, but the sort shuffle's output block
-COUNT tracks its input block count, and left unclamped those empties
-compound geometrically across iterations (measured 24.5 s -> 107.7 s
-per iteration at sf0.01).  The clamp is a pass over the
-node-table-sized state — trivial next to the edge exchanges.  The old
-loop spent FOUR barriers per iteration (hash_join, Sum groupby, left
-hash_join, repartition) at ~5 s fixed exchange latency each (BASELINE
-anatomy note); the fused loop spends two sort exchanges plus the cheap
-clamp.  Nothing is collected on the driver except the two per-iteration
+Scale shape: one iteration = exactly TWO bucket exchanges.  Exchange
+A (keyed by src) is a tagged union of the static pre-tagged edge table
+with the rank state; one group task per bucket joins edges to their
+source state rows (searchsorted) AND pre-sums contributions per
+destination, so exchange B ships per-bucket partial sums (bounded by
+distinct dst per bucket), never per-edge rows.  Exchange B (keyed by
+dst == n) unions those partials with the node table and finishes
+{final Sum + left join + damped update} in one group task per bucket.
+While ``fits_task_exchange(num_partitions)`` both exchanges run as raw
+task waves over per-bucket refs (:func:`_pagerank_tasks_loop`).  Past
+that width they run through ``run_bucket_groups``'s sort-shuffle
+fallback, and the new state is repartition-clamped to num_partitions:
+the sort shuffle's output block COUNT tracks its input block count,
+and left unclamped those empties compound geometrically across
+iterations (measured 24.5 s -> 107.7 s per iteration at sf0.01).
+Nothing is collected on the driver except the two per-iteration
 scalars (dangling mass, node count).  The rank state is
-``materialize()``d per iteration (object store, spills) — the standard
-iteration checkpoint that keeps lineage from re-executing all previous
-rounds.
+``materialize()``d per iteration — the iteration checkpoint that keeps
+lineage from re-executing all previous rounds.
 """
 
 from __future__ import annotations
@@ -114,7 +108,6 @@ def pagerank_micro(
     iters: int = 3,
     num_partitions: int | None = None,
     hot_degree_min=None,
-    impl: str | None = None,
 ):
     """PageRank over DISTINCT directed edges (src, dst) — integer
     micro-unit spec in the module docstring.  Returns Dataset
@@ -127,7 +120,11 @@ def pagerank_micro(
     replicates into every bucket while their edge rows spread
     uniformly, so a power-law hub cannot melt one merge task.  The
     output is bit-identical with or without salting (the join result
-    SET is unchanged)."""
+    SET is unchanged).
+
+    The iterations run as raw task waves (:func:`_pagerank_tasks_loop`)
+    while ``fits_task_exchange(num_partitions)``; past that width they
+    run as two Dataset exchanges per iteration."""
     if num_partitions is None:
         from .joins import derive_num_partitions
 
@@ -135,19 +132,15 @@ def pagerank_micro(
     import ray.data as rd
 
     from .bucket_tasks import fits_task_exchange
-    from .joins import bucket_int_pairs, bucket_ints, spread_rows
+    from .joins import bucket_int_pairs, bucket_ints, run_bucket_groups, spread_rows
 
-    # --- FUSED setup (round 5): TWO exchanges replace the old four
-    # ({distinct-pairs groupby, distinct-nodes groupby, outdeg groupby,
-    # nodes⋈outdeg hash_join}).  Exchange S1 dedups edges bucketed by
-    # the (src, dst) PAIR hash — hub-safe (a hub's edges spread across
-    # buckets; same pair → same bucket, so in-bucket np.unique IS the
-    # global distinct).  Because each distinct pair then lives in
-    # exactly ONE output block, per-block node sets and per-block
-    # (src, count) rows are valid PARTIALS, and exchange S2 (keyed by
-    # n) unions them to finish {distinct nodes + outdeg Sum + the left
-    # join + r0 seed} in one map_groups task per bucket — the same
-    # tagged-union shape as the iteration's exchange B.
+    # Setup = two exchanges.  S1 dedups edges bucketed by the (src, dst)
+    # PAIR hash — hub-safe (a hub's edges spread across buckets; same
+    # pair → same bucket, so in-bucket np.unique IS the global
+    # distinct).  Each distinct pair then lives in exactly ONE output
+    # block, so per-block node sets and per-block (src, count) rows are
+    # valid PARTIALS, and S2 (keyed by n) unions them to finish
+    # {distinct nodes + outdeg Sum + the left join + r0 seed} per bucket.
 
     def tag_pairs(b: pa.Table) -> pa.Table:
         s = np.asarray(b.column("src").to_numpy(zero_copy_only=False), dtype=np.int64)
@@ -167,12 +160,12 @@ def pagerank_micro(
             [pa.array(u[:, 0]), pa.array(u[:, 1])], names=["src", "dst"]
         )
 
-    edges = (
-        edges_ds.map_batches(tag_pairs, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(uniq_pairs, batch_format="pyarrow")
-        .materialize()
-    )
+    edges = run_bucket_groups(
+        edges_ds.map_batches(tag_pairs, batch_format="pyarrow"),
+        num_partitions,
+        uniq_pairs,
+        batch_format="pyarrow",
+    ).materialize()
     n_edges = edges.count()
     if n_edges == 0:
         return rd.from_arrow(
@@ -236,12 +229,12 @@ def pagerank_micro(
             names=["n", "r", "outdeg"],
         )
 
-    state = (
-        edges.map_batches(state_partials, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(init_bucket, batch_format="pyarrow")
-        .materialize()
-    )
+    state = run_bucket_groups(
+        edges.map_batches(state_partials, batch_format="pyarrow"),
+        num_partitions,
+        init_bucket,
+        batch_format="pyarrow",
+    ).materialize()
     hot = _hot_keys(state, "n", "outdeg", n_edges, num_partitions, hot_degree_min)
 
     n_nodes = state.count()
@@ -259,14 +252,10 @@ def pagerank_micro(
             return bk
         return spread_rows(bk, np.isin(keys, hot_arr), num_partitions)
 
-    if impl is None:
-        impl = "tasks" if fits_task_exchange(num_partitions) else "dataset"
-    if impl == "tasks":
+    if fits_task_exchange(num_partitions):
         return _pagerank_tasks_loop(
             edges, state, hot_arr, n_nodes, num_partitions, iters, _spread_hot
         )
-    if impl != "dataset":
-        raise ValueError(f"impl must be 'tasks', 'dataset' or None, got {impl!r}")
 
     # FUSED exchange A left side, tagged ONCE (static across iterations):
     # edges under the union schema (k=src, dst, r=0, outdeg=0, side=0).
@@ -438,24 +427,18 @@ def pagerank_micro(
         )
         dang_share = dang // n_nodes
 
-        # FUSED exchange A (keyed by src == n): one tagged-union bucket
-        # groupby replaces {hash_join(edges, state) + contrib map +
-        # groupby(dst) partials} — the join AND the map-side combine of
-        # the old Sum aggregate run inside one map_groups task, so the
-        # downstream exchange ships per-bucket partial sums (<= distinct
-        # dst per bucket), never per-edge contrib rows.
-        partials = (
-            edges_tagged.union(
-                state.map_batches(tag_state_a, batch_format="pyarrow")
-            )
-            .groupby("bucket")
-            .map_groups(contrib_partials, batch_format="pyarrow")
+        # exchange A (keyed by src == n): join + per-dst partial sums
+        partials = run_bucket_groups(
+            edges_tagged.union(state.map_batches(tag_state_a, batch_format="pyarrow")),
+            num_partitions,
+            contrib_partials,
+            batch_format="pyarrow",
         )
 
         def update_bucket(g: pa.Table, _share=dang_share) -> pa.Table:
-            """FUSED exchange B: final Sum of the partials + the left
-            join back onto the node table + the damped update, in one
-            map_groups task per bucket.  inc stays int64 end-to-end (no
+            """Exchange B: final Sum of the partials + the left join
+            back onto the node table + the damped update, in one group
+            task per bucket.  inc stays int64 end-to-end (no
             float64 round-trip, so the 2^53 join bound is gone); the
             binding term is DAMP_NUM * (inc + share), so exactness
             requires total rank mass < 2^63 / DAMP_NUM (N ~5e10)."""
@@ -502,19 +485,17 @@ def pagerank_micro(
                 names=["n", "r", "outdeg"],
             )
 
-        # map_groups emits <= num_partitions NON-EMPTY blocks, but the
-        # sort shuffle's OUTPUT block count tracks its INPUT block count
-        # (edges_blocks + 2*state_blocks), mostly empties — left
-        # unclamped that compounds geometrically across iterations (the
-        # round-3 lesson, re-confirmed here: 24.5 s -> 107.7 s per
-        # iteration at sf0.01).  The repartition clamp is a pass over
-        # the NODE-table-sized state, trivial next to the edge
-        # exchanges; the fusion still nets 4 barriers/iter -> 3.
+        # the repartition clamps the sort shuffle's output block count
+        # (module docstring); it is a pass over the node-sized state
         state = (
-            partials.map_batches(tag_partials_b, batch_format="pyarrow")
-            .union(state.map_batches(tag_state_b, batch_format="pyarrow"))
-            .groupby("bucket")
-            .map_groups(update_bucket, batch_format="pyarrow")
+            run_bucket_groups(
+                partials.map_batches(tag_partials_b, batch_format="pyarrow").union(
+                    state.map_batches(tag_state_b, batch_format="pyarrow")
+                ),
+                num_partitions,
+                update_bucket,
+                batch_format="pyarrow",
+            )
             .repartition(num_partitions)
             .materialize()
         )
@@ -568,14 +549,6 @@ def _pagerank_tasks_loop(
         return spread_hot(src, bucket_ints(src, P))
 
     def edge_merge(tbl: pa.Table) -> dict:
-        if tbl.num_rows == 0:  # possibly SCHEMA-LESS (map_groups empties)
-            z = np.zeros(0, dtype=np.int64)
-            return {
-                "src": z,
-                "dst_run": z,
-                "starts": z,
-                "run_off": np.zeros(P + 1, dtype=np.int64),
-            }
         src = np.asarray(
             tbl.column("src").to_numpy(zero_copy_only=False), dtype=np.int64
         )
@@ -603,9 +576,6 @@ def _pagerank_tasks_loop(
         return bucket_ints(n, P)
 
     def state_merge(tbl: pa.Table) -> dict:
-        if tbl.num_rows == 0:  # possibly SCHEMA-LESS (map_groups empties)
-            z = np.zeros(0, dtype=np.int64)
-            return {"n": z, "r": z, "outdeg": z}
         n = np.asarray(tbl.column("n").to_numpy(zero_copy_only=False), dtype=np.int64)
         r = np.asarray(tbl.column("r").to_numpy(zero_copy_only=False), dtype=np.int64)
         od = np.asarray(

@@ -101,8 +101,8 @@ def spread_rows(bk: np.ndarray, mask: np.ndarray, num_partitions: int) -> np.nda
 #: only corpora past ``floor * rows_per_group`` rows widen the exchange.
 DEFAULT_PARTITIONS = 32
 
-#: target rows per exchange group: every groupby(bucket) group
-#: materializes in ONE map_groups task, so this bounds per-task memory.
+#: target rows per exchange bucket: every bucket materializes in ONE
+#: merge task, so this bounds per-task memory.
 ROWS_PER_EXCHANGE_GROUP = 100_000
 
 
@@ -112,13 +112,13 @@ def derive_num_partitions(
     rows_per_group: int = ROWS_PER_EXCHANGE_GROUP,
     approx_rows: int | None = None,
 ) -> int:
-    """Size an INTERNAL exchange (bucket groupby) from corpus size:
-    ``max(floor, ceil(rows / rows_per_group))``.
+    """Size an INTERNAL exchange (``bucket_tasks.exchange_map_groups``)
+    from corpus size: ``max(floor, ceil(rows / rows_per_group))``.
 
     The floor preserves parallelism on small inputs (the historical
     static defaults — 32 join partitions, 64 window buckets); past
     ``floor * rows_per_group`` rows the width grows so no single
-    map_groups task materializes an unbounded group (the
+    merge task materializes an unbounded bucket (the
     :func:`ocr_lib_ray.functions.dedup.derive_group_buckets` policy,
     generalized).  Row count is METADATA-ONLY (parquet footers via
     ``Dataset._meta_count()``): a transformed lineage with no metadata
@@ -128,7 +128,9 @@ def derive_num_partitions(
     Buckets are internal partitioning only, so the derived count is
     output-invariant (pinned by the bucket-count invariance tests and
     the oracle gate).  Callers with catalog row counts pass
-    ``approx_rows`` to size transformed lineages too.
+    ``approx_rows`` to size transformed lineages too.  A width past
+    ``bucket_tasks.TASK_EXCHANGE_MAX_PARTITIONS`` (256; 25.6M rows at
+    the defaults) runs the exchange's sort-shuffle fallback.
     """
     if approx_rows is None:
         try:
@@ -293,32 +295,21 @@ def run_bucket_groups(
     batch_format: str = "pandas",
     bucket_col_name: str = "bucket",
 ):
-    """The repo's standard ``groupby("bucket").map_groups(fn)``: the
-    rows are already tagged with their bucket, so this is
-    :func:`bucket_tasks.exchange_map_groups` with a bucket fn that
-    reads that column and, for ``batch_format="pandas"``, ``fn``
-    adapted to frames.  Semantics match map_groups: ``fn`` runs once
-    per NON-EMPTY bucket, inside the exchange's merge task, with the
-    whole bucket in one frame/table (the bucket column still present);
-    a fully-empty result keeps one typed empty block.  Width gate,
-    fallback and eagerness are :func:`exchange_map_groups`'s.
+    """:func:`bucket_tasks.exchange_map_groups` for rows that already
+    carry their bucket id (in ``[0, num_partitions)``) in column
+    ``bucket_col_name``: ``fn`` runs once per NON-EMPTY bucket, inside
+    the exchange's merge task, with the whole bucket in one frame/table
+    (the bucket column still present).  Width gate, fallback, empty
+    result and eagerness are :func:`exchange_map_groups`'s.
     """
     from .bucket_tasks import exchange_map_groups
-
-    group_fn = fn
-    if batch_format == "pandas":
-
-        def group_fn(t: pa.Table) -> pa.Table:
-            out = fn(t.to_pandas())
-            if isinstance(out, pa.Table):  # map_groups tolerates either
-                return out
-            return pa.Table.from_pandas(out, preserve_index=False)
 
     return exchange_map_groups(
         union_ds,
         lambda t: t.column(bucket_col_name).to_numpy(),
+        fn,
         num_partitions,
-        group_fn,
+        batch_format=batch_format,
     )
 
 

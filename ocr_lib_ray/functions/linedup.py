@@ -23,6 +23,8 @@ import hashlib
 import pyarrow as pa
 from ray.data.aggregate import Sum
 
+from .bucket_tasks import exchange_map_groups
+
 
 def _line_hash(line: str) -> str:
     return hashlib.md5(line.encode("utf-8")).hexdigest()
@@ -80,13 +82,14 @@ def remove_common_lines_join(
     explode to (doc, line_idx, line, line_hash) rows, hot lines stay a
     Dataset, and membership is an explicit SAME-KEY-BUCKET hash join —
     both sides carry ``bucket = bucket_col(line_hash, num_partitions)``,
-    union, one groupby(bucket), and each group filters its line rows
-    against its own hot subset vectorized.  (Implemented on groupby
-    rather than ``Dataset.join`` because Ray 2.49's hash join breaks
-    when its output feeds another hash shuffle and a right partition is
-    empty.)  Surviving lines re-assemble per document (groupby(id) →
-    sort line_idx → join).  Two all-to-alls on the line rows in exchange
-    for bounded memory at any hot-set size.  Returns (id_col, text_col)
+    union, one bucket exchange, and each bucket filters its line rows
+    against its own hot subset vectorized.  (Implemented on the bucket
+    exchange rather than ``Dataset.join`` because Ray 2.49's hash join
+    breaks when its output feeds another hash shuffle and a right
+    partition is empty.)  Surviving lines re-assemble per document in a
+    second exchange bucketed by id (sort line_idx → join per id inside
+    the bucket).  Two exchanges of the line rows in exchange for
+    bounded memory at any hot-set size.  Returns (id_col, text_col)
     only; text equals the broadcast path (tested).
     """
     from .joins import bucket_col, derive_num_partitions, run_bucket_groups, zero_fill
@@ -172,12 +175,21 @@ def remove_common_lines_join(
     )
 
     def rebuild(g: pd.DataFrame) -> pd.DataFrame:
-        real = g[g["line_idx"] >= 0].sort_values("line_idx")
+        g = g.sort_values("line_idx", kind="mergesort")
+        real = g[g["line_idx"] >= 0]
+        text = real.groupby(id_col, sort=False, dropna=False)["line"].agg("\n".join)
+        ids = g[id_col].unique()
         return pd.DataFrame(
-            {id_col: [g[id_col].iloc[0]], text_col: ["\n".join(real["line"])]}
+            {id_col: ids, text_col: text.reindex(ids, fill_value="").to_numpy()}
         )
 
-    return kept.groupby(id_col).map_groups(rebuild, batch_format="pandas")
+    return exchange_map_groups(
+        kept,
+        lambda t: bucket_col(t.column(id_col), num_partitions),
+        rebuild,
+        num_partitions,
+        batch_format="pandas",
+    )
 
 
 def remove_common_lines(ds, text_col: str = "text", max_df: int = 1):

@@ -24,6 +24,8 @@ import math
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .bucket_tasks import exchange_map_groups
+
 
 def _check_qs(qs) -> None:
     bad = [q for q in qs if not 0.0 <= q <= 1.0]
@@ -396,7 +398,7 @@ def group_quantiles(
     Same histogram discipline as :func:`histogram_quantiles` but fully
     distributed end-to-end: map-side (group, value) counts, one
     groupby(group, value) partial-sum shuffle (distinct-pairs-sized),
-    then a groupby(group) ``map_groups`` reads each group's order
+    then one exchange keyed by group reads each group's order
     statistics off its own histogram — the driver never sees data, so
     group count AND per-group domain size are both unbounded.  The
     quantile definition is the same DuckDB-quantile_disc index
@@ -456,7 +458,7 @@ def group_quantiles(
             }
         )
 
-    return hist.groupby(group_col).map_groups(finish, batch_format="pandas")
+    return exchange_map_groups(hist, group_col, finish, batch_format="pandas")
 
 
 def mad_outliers(
@@ -514,7 +516,7 @@ def mad_outliers(
         raise ValueError(
             f"{n_distinct} distinct (group, value) pairs exceeds "
             f"max_distinct={max_distinct}: mad_outliers is for bounded-"
-            "domain columns — use group_quantiles' map_groups path instead"
+            "domain columns — use group_quantiles' per-group path instead"
         )
     by_group: dict = {}
     for b in hist.iter_batches(batch_format="pyarrow"):

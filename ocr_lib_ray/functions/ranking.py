@@ -25,6 +25,8 @@ import math
 import pandas as pd
 import pyarrow as pa
 
+from .bucket_tasks import exchange_map_groups
+
 __all__ = ["topk_per_group", "tfidf_top_terms"]
 
 
@@ -44,8 +46,8 @@ def topk_per_group(
 
     Two stages: (1) map-only per-block prune — each block keeps its own
     per-group top-k, so the shuffle sees at most k rows per group per
-    block; (2) ``groupby(group_col).map_groups`` final top-k over the
-    pruned candidates.  With B blocks a group's candidate set is <= k*B;
+    block; (2) one exchange keyed by ``group_col`` takes the final top-k
+    over the pruned candidates.  With B blocks a group's candidate set is <= k*B;
     for k*B beyond group-task memory, run the prune twice (tree
     combine) — at k<=100 and 10^5 blocks that is still only 10^7 rows,
     so a single level is the right default.
@@ -81,7 +83,7 @@ def topk_per_group(
         return g.sort_values([order_col, id_col], ascending=ascending).head(k)[cols]
 
     pruned = ds.map_batches(prune, batch_format="pyarrow", zero_copy_batch=True)
-    return pruned.groupby(group_col).map_groups(finish, batch_format="pandas")
+    return exchange_map_groups(pruned, group_col, finish, batch_format="pandas")
 
 
 def _df_partials(batch: pa.Table, text_col: str) -> pa.Table:
@@ -217,7 +219,7 @@ def topk_with_ties(
     globally, so its global rank already exceeds k; stage 2 is the
     exact per-group RANK filter over the pruned candidates.  A
     pathological all-tied group keeps everything — that is the
-    semantics, and the map_groups task bound is the group's tied-row
+    semantics, and the group task bound is the group's tied-row
     count (use topk_per_group when a hard k bound matters more than
     tie fairness).
 
@@ -269,8 +271,5 @@ def topk_with_ties(
         vals = g[order_col].to_numpy()
         return g.loc[_rank_keep(vals)].reset_index(drop=True)
 
-    return (
-        ds.map_batches(prune, batch_format="pyarrow")
-        .groupby(group_col)
-        .map_groups(final, batch_format="pandas")
-    )
+    pruned = ds.map_batches(prune, batch_format="pyarrow")
+    return exchange_map_groups(pruned, group_col, final, batch_format="pandas")

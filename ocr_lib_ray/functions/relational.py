@@ -51,6 +51,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data.aggregate import Sum
 
+from .bucket_tasks import exchange_map_groups
 from .joins import hash_join
 
 
@@ -1150,7 +1151,7 @@ def small_qty_revenue(
     that scales with the catalog — bucketed SEMI join, not broadcast);
     the surviving brand lineitems then make ONE partkey exchange where
     each group computes its own avg AND filters its own rows
-    (groupby().map_groups — subquery and probe fused, no second join);
+    (one exchange by partkey — subquery and probe fused, no second join);
     per-group (cents, n) partials reduce to a single driver pair."""
     if num_partitions is None:
         from .joins import derive_num_partitions
@@ -1187,11 +1188,9 @@ def small_qty_revenue(
             }
         )
 
-    agg = (
-        brand_li.groupby("partkey")
-        .map_groups(per_part, batch_format="pandas")
-        .aggregate(Sum("total_cents", alias_name="total_cents"), Sum("n", alias_name="n"))
-    )
+    agg = exchange_map_groups(
+        brand_li, "partkey", per_part, num_partitions, batch_format="pandas"
+    ).aggregate(Sum("total_cents", alias_name="total_cents"), Sum("n", alias_name="n"))
     total = int(agg["total_cents"] or 0)
     return pd.DataFrame(
         {

@@ -16,6 +16,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .bucket_tasks import exchange_map_groups
+from .joins import derive_num_partitions
+
 
 def _as_matrix(col) -> np.ndarray:
     """Embedding list column → (n, d) float64 matrix — ZERO-COPY flatten
@@ -102,14 +105,6 @@ def driver_topk_per_query(local_ds, k, sort_cols, ascending, empty_tbl, finish=N
         df[empty_tbl.column_names], preserve_index=False
     ).cast(empty_tbl.schema)
     return rd.from_arrow(tbl)
-
-
-def _global_topk_group(g: pd.DataFrame, k: int) -> pd.DataFrame:
-    # deterministic order: sim desc, then vec_id asc as tie-break;
-    # final sim rounded to 6 (oracle-compatible: DuckDB round(x, 6))
-    g = g.sort_values(["sim", "vec_id"], ascending=[False, True]).head(k)
-    g = g.assign(sim=g["sim"].round(6))
-    return g[["query_id", "vec_id", "sim"]]
 
 
 def knn_brute(emb_ds, query_ids, k: int = 5, exclude_self: bool = True):
@@ -496,8 +491,9 @@ def cosine_dup_pairs_lsh(
         )
 
     buckets = emb_ds.map_batches(explode_tables, batch_format="pyarrow")
-    pairs = buckets.groupby(["table", "bucket"]).map_groups(
-        pairs_in_bucket, batch_format="pandas"
+    P = derive_num_partitions(emb_ds, approx_rows=approx_rows)
+    pairs = exchange_map_groups(
+        buckets, ["table", "bucket"], pairs_in_bucket, P, batch_format="pandas"
     )
     return pairs.groupby(["d1", "d2"]).aggregate(Max("cosine", alias_name="cosine"))
 

@@ -22,6 +22,8 @@ import numpy as np
 import pyarrow as pa
 from ray.data.aggregate import AggregateFn
 
+from .joins import run_bucket_groups
+
 DEFAULT_P = 12  # 4096 registers, ~1.6% standard error
 
 
@@ -131,7 +133,7 @@ def approx_distinct_users_per_type(events_ds, p: int = DEFAULT_P):
 #
 # Build is sharded so no worker ever holds the full bitmap: batches
 # emit distinct probe positions (8 B rows — less than shuffling 32 B
-# fingerprints), one groupby(shard) packs each bit-range on its own
+# fingerprints), one exchange by shard packs each bit-range on its own
 # worker, and the driver assembles the ≤ m/8-byte result from the
 # per-shard binaries.
 # ---------------------------------------------------------------------------
@@ -173,8 +175,8 @@ def bloom_build(
     """Build the m-bit Bloom bitmap of ``ds``'s normalized ``text_col``
     as a uint8 array (LSB-first within each byte).
 
-    Sharded build: batches emit per-batch-DISTINCT positions, a
-    groupby(shard) packs each byte-aligned bit range on its own worker
+    Sharded build: batches emit per-batch-DISTINCT positions, an
+    exchange by shard packs each byte-aligned bit range on its own worker
     (peak per-worker memory m/(8*num_shards), not m/8), and the driver
     assembles the final ≤ m/8 + 7*num_shards bytes.  Deterministic for
     any batch size / shard count (bits are ORed, order-free).
@@ -201,12 +203,12 @@ def bloom_build(
         np.bitwise_or.at(local, rel >> 3, np.uint8(1) << (rel & 7).astype(np.uint8))
         return pd.DataFrame({"shard": [s], "bits": [local.tobytes()]})
 
-    parts = (
-        ds.map_batches(pos_rows, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(pack_shard, batch_format="pandas")
-        .take_all()
-    )
+    parts = run_bucket_groups(
+        ds.map_batches(pos_rows, batch_format="pyarrow"),
+        num_shards,
+        pack_shard,
+        bucket_col_name="shard",
+    ).take_all()
     bitmap = np.zeros(num_shards * shard_bytes, dtype=np.uint8)
     for row in parts:
         s = int(row["shard"])

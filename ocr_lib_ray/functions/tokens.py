@@ -10,6 +10,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data.aggregate import Sum
 
+from .bucket_tasks import exchange_map_groups
 from .text_stats import normalize_expr
 
 
@@ -241,7 +242,7 @@ def build_vocab(docs_ds, max_vocab: int | None = None, rank_buckets: int = 256):
        sqrt(corpus tokens), not like the vocabulary);
     3. driver prefix-sums the histogram into per-(n, bucket) base
        offsets, broadcast via ``ray.put``;
-    4. ``groupby(n, bucket).map_groups``: each group sorts its own
+    4. one exchange keyed by (n, bucket): each group sorts its own
        ≈|vocab_n|/rank_buckets tokens by (md5, token) and stamps
        ``base + local_ordinal``.
     """
@@ -347,8 +348,6 @@ def build_vocab(docs_ds, max_vocab: int | None = None, rank_buckets: int = 256):
     off_ref = ray.put(offsets)
 
     def stamp(g) -> pa.Table:
-        import pandas as pd  # noqa: F401  (map_groups hands pandas)
-
         g = g.sort_values(["h", "token"], kind="mergesort").reset_index(drop=True)
         off = ray.get(off_ref)[(int(g["n"].iloc[0]), int(g["bucket"].iloc[0]))]
         return pa.Table.from_arrays(
@@ -360,9 +359,7 @@ def build_vocab(docs_ds, max_vocab: int | None = None, rank_buckets: int = 256):
             names=["token", "token_id", "n"],
         )
 
-    return (
-        hashed.groupby(["n", "bucket"]).map_groups(stamp, batch_format="pandas")
-    )
+    return exchange_map_groups(hashed, ["n", "bucket"], stamp, batch_format="pandas")
 
 
 def encode_docs(docs_ds, max_vocab: int = 4096, rank_buckets: int = 256, vocab_df=None):

@@ -10,10 +10,11 @@ of every snapshot.
 The rewrite here is the ranking.topk_per_group discipline with k=1 and
 full-row carry: (1) a map-only per-block prune keeps each block's own
 latest row per key, so the shuffle sees at most one row per key per
-block, never the corpus; (2) one ``groupby(key).map_groups`` picks the
-final winner.  Deterministic total order: (ts_col DESC, tie_col ASC) —
-``tie_col`` must be a unique id so equal timestamps still select a
-stable row (and therefore stable non-key columns).
+block, never the corpus; (2) one exchange bucketed by key picks every
+key's final winner in its bucket's task.  Deterministic total order:
+(ts_col DESC, tie_col ASC) — ``tie_col`` must be a unique id so equal
+timestamps still select a stable row (and therefore stable non-key
+columns).
 
 Value columns never round-trip through pandas: only the three ORDER
 columns are converted to choose indices, and the selected rows are
@@ -32,6 +33,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .bucket_tasks import exchange_map_groups
+from .joins import bucket_col, derive_num_partitions
+
 __all__ = ["keep_latest", "crawl_diff", "table_checksum", "group_checksum"]
 
 
@@ -41,10 +45,9 @@ def keep_latest(ds, key_col: str, ts_col: str, tie_col: str):
     pandas round-trip of value columns).
 
     Null keys and null ``ts_col``/``tie_col`` values raise: SQL ranks a
-    NULL partition and sorts NULL timestamps last (DuckDB default), but
-    Ray's sort-based groupby cannot shuffle null keys and a silently
-    chosen null-ordering would diverge from the oracle — fill or filter
-    first, loudly.
+    NULL partition and sorts NULL timestamps last (DuckDB default), and a
+    silently chosen null-ordering would diverge from the oracle — fill
+    or filter first, loudly.
     """
     sch = ds.schema()
     if sch is None:
@@ -56,9 +59,8 @@ def keep_latest(ds, key_col: str, ts_col: str, tie_col: str):
         if c not in cols:
             raise ValueError(f"keep_latest: column {c!r} not in dataset schema {cols}")
 
-    def _latest_indices(batch: pa.Table, k_all: bool) -> np.ndarray:
-        """Row indices of each key's (ts DESC, tie ASC) winner; with
-        ``k_all`` False the batch is a final group (single key)."""
+    def _latest_indices(batch: pa.Table) -> np.ndarray:
+        """Row indices of each key's (ts DESC, tie ASC) winner."""
         order = batch.select([key_col, ts_col, tie_col]).to_pandas()
         for c in (key_col, ts_col, tie_col):
             if order[c].isna().any():
@@ -72,20 +74,17 @@ def keep_latest(ds, key_col: str, ts_col: str, tie_col: str):
         ranked = order.sort_values(
             [ts_col, tie_col], ascending=[False, True], kind="mergesort"
         )
-        if k_all:
-            keep = ranked.drop_duplicates(subset=[key_col], keep="first")
-        else:
-            keep = ranked.head(1)
+        keep = ranked.drop_duplicates(subset=[key_col], keep="first")
         return keep.index.to_numpy()
 
-    def prune(batch: pa.Table) -> pa.Table:
-        return batch.take(_latest_indices(batch, k_all=True))
+    def latest(batch: pa.Table) -> pa.Table:
+        return batch.select(cols).take(_latest_indices(batch))
 
-    def finish(g: pa.Table) -> pa.Table:
-        return g.select(cols).take(_latest_indices(g, k_all=False))
-
-    pruned = ds.map_batches(prune, batch_format="pyarrow", zero_copy_batch=True)
-    return pruned.groupby(key_col).map_groups(finish, batch_format="pyarrow")
+    P = derive_num_partitions(ds)
+    pruned = ds.map_batches(latest, batch_format="pyarrow", zero_copy_batch=True)
+    return exchange_map_groups(
+        pruned, lambda t: bucket_col(t.column(key_col), P), latest, P
+    )
 
 
 def crawl_diff(new_ds, prior_ds, id_col: str = "doc_id", text_col: str = "text"):

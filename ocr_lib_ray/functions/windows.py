@@ -13,6 +13,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from .bucket_tasks import exchange_map_groups
+
 
 def add_window_id(batch: pa.Table, window_us: int) -> pa.Table:
     ts = batch.column("ts").cast(pa.int64())  # epoch micros (non-negative)
@@ -514,9 +516,7 @@ def window_topk(events_ds, window_seconds: int = 3600, k: int = 3):
             "rank", pa.array(np.arange(1, len(g) + 1, dtype=np.int64))
         )
 
-    return counts.groupby("window_start_us").map_groups(
-        topk, batch_format="pyarrow"
-    )
+    return exchange_map_groups(counts, "window_start_us", topk)
 
 
 def user_type_entropy(events_ds):

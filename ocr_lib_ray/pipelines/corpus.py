@@ -59,7 +59,7 @@ def _exact_losers(keyed: rd.Dataset, num_buckets: int) -> rd.Dataset:
     import numpy as np
     import pandas as pd
 
-    from ..functions.joins import bucket_col
+    from ..functions.joins import bucket_col, run_bucket_groups
 
     def tag(b: pa.Table) -> pa.Table:
         buckets = bucket_col(b.column("fp"), num_buckets)
@@ -76,10 +76,8 @@ def _exact_losers(keyed: rd.Dataset, num_buckets: int) -> rd.Dataset:
         # Arrow as null-typed and poison the downstream groupby schema
         return pd.DataFrame({"d2": pd.array(losers.tolist(), dtype="string")})
 
-    return (
-        keyed.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(find_losers, batch_format="pandas")
+    return run_bucket_groups(
+        keyed.map_batches(tag, batch_format="pyarrow"), num_buckets, find_losers
     )
 
 

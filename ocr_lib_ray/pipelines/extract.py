@@ -7,12 +7,15 @@ Distributed form of ``read-image-fn``
       → map_batches(synthesize_pages)          # fixture source stage
       → map_batches(add_partition_meta)        # url-hash partition id + size
       → map_batches(ExtractDocuments, actor pool)  # the kernel
-      → union → write/groupby-manifest sink
+      → write_with_manifest (exchange by partition id) | write_partitioned
 
-No stage materializes the dataset; the only all-to-all exchange is the
-optional per-partition manifest groupby in :func:`run_extract_job`
-(SURVEY.md §7.3).  See :func:`extract_pipeline` for the measured
-compute-strategy decisions (tasks vs actor pool).
+No stage before the sink materializes the dataset; the only
+all-to-all exchange is the manifest sink's exchange keyed by
+``partition_id`` in :func:`write_with_manifest`
+(``bucket_tasks.exchange_map_groups``, the engine's one group
+exchange; SURVEY.md §7.3).  See
+:func:`extract_pipeline` for the measured compute-strategy decisions
+(tasks vs actor pool).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import os
 import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, ExtractConfig
+from ..functions.bucket_tasks import exchange_map_groups
 from ..sources.pages import synthesize_pages_batch
 from ..stages.extract_stage import ExtractDocuments, extract_batch
 from ..stages.manifest import (
@@ -115,10 +119,18 @@ def write_with_manifest(extracted: rd.Dataset, out_dir: str, resume: bool = True
             extracted = extracted.map_batches(
                 make_resume_filter(done), batch_format="pyarrow"
             )
-    manifest = extracted.groupby("partition_id").map_groups(
-        make_partition_writer(out_dir), batch_format="pyarrow"
+    # The job's partition count is unknown here, so the partition id is
+    # a column key over one bucket per extracted block — the sort
+    # shuffle's width, and past the width gate that shuffle itself.
+    # Like any all-to-all, it holds the extracted corpus until it ends.
+    extracted = extracted.materialize()
+    manifest = exchange_map_groups(
+        extracted,
+        "partition_id",
+        make_partition_writer(out_dir),
+        max(1, extracted.num_blocks()),
     )
-    rows = manifest.count()  # consume → executes the streaming pipeline
+    rows = manifest.count()
     return {"partitions_written": rows, "partitions_skipped": skipped}
 
 
@@ -130,15 +142,15 @@ def write_partitioned(extracted: rd.Dataset, out_dir: str, resume: bool = True) 
     no data re-read; checksums via :func:`...manifest.validate_job` when
     an audit is wanted).
 
-    Tradeoff vs :func:`write_with_manifest` (the groupby sink): that one
-    gives per-partition ATOMIC completion (resume granularity =
+    Tradeoff vs :func:`write_with_manifest` (the exchange sink): that
+    one gives per-partition ATOMIC completion (resume granularity =
     partition) but materializes each partition in one task — size
     ``num_partitions`` so a partition fits a worker (~total_bytes /
     512 MB).  This one streams with bounded memory at any scale but a
     mid-job crash leaves partially-written partition dirs and no
     manifests — resume granularity is the whole job.  It also writes
     one file per (task, partition) — many smaller files (measured 4096
-    files for 1M rows at 256 tasks × 16 partitions vs the groupby
+    files for 1M rows at 256 tasks × 16 partitions vs the exchange
     sink's 16) — compact with a follow-up per-partition rewrite if the
     consumer needs few files.  Pick per job shape; both are tested.
     """

@@ -84,12 +84,17 @@ def partition_checksum(urls, texts) -> int:
 
 
 def make_partition_writer(out_dir: str):
-    """Group fn for ``groupby("partition_id").map_groups``: writes one
-    partition's data atomically and returns its manifest row."""
+    """Group fn of the manifest sink's exchange keyed by
+    ``partition_id`` (``pipelines.extract.write_with_manifest``): writes
+    one partition's data atomically and returns its manifest row.  On
+    an empty table it raises before writing anything (the exchange
+    probes it so to type an all-empty result)."""
 
     def _write(group: pa.Table) -> pa.Table:
         import time
 
+        if group.num_rows == 0:
+            raise ValueError("make_partition_writer: empty partition")
         t0 = time.time()
         pid = group.column("partition_id")[0].as_py()
         data_dir = os.path.join(out_dir, "data", f"part={pid}")

@@ -172,7 +172,9 @@ def test_minhash_verify_modes_agree(sf_small):
         comps: dict = {}
         for node, root in roots.items():
             comps.setdefault(root, set()).add(node)
-        return sorted(frozenset(c) for c in comps.values())
+        # sorted member lists: frozensets only order by inclusion, so a
+        # sorted() of them depends on the input row order
+        return sorted(sorted(c) for c in comps.values())
 
     assert components(a) == components(b)
 

@@ -334,29 +334,36 @@ def test_triangle_support_star_graph_degree_oriented():
     assert (int(out["a"].iloc[0]), int(out["b"].iloc[0])) == (0, 2)
 
 
+def force_wide_exchange(monkeypatch):
+    """Make every exchange width fail the raw-task gate, so PageRank
+    runs its Dataset loop (the only path past the gate)."""
+    from ocr_lib_ray.functions import bucket_tasks
+
+    monkeypatch.setattr(bucket_tasks, "TASK_EXCHANGE_MAX_PARTITIONS", 0)
+
+
 @pytest.mark.usefixtures("ray_session")
-def test_pagerank_state_block_count_stays_clamped():
+def test_pagerank_state_block_count_stays_clamped(monkeypatch):
     """The iterated rank state must stay repartition-clamped: the sort
     shuffle's OUTPUT block count tracks its INPUT block count (not the
     number of non-empty groups), so an unclamped fused loop compounds
     empty blocks geometrically per iteration (measured 24.5 s -> 107.7 s
-    per iteration at sf0.01).  Five iterations at num_partitions=4 must
-    return a result whose block count is still <= num_partitions — and
-    still be bit-exact."""
+    per iteration at sf0.01).  Five iterations of the Dataset loop at
+    num_partitions=4 must return a result whose block count is still
+    <= num_partitions — and still be bit-exact."""
     from ocr_lib_ray.functions.graph import pagerank_micro
 
     rng = np.random.RandomState(7)
     edges = sorted({(int(a), int(b)) for a, b in rng.randint(0, 50, (300, 2)) if a != b})
-    res = pagerank_micro(
-        edge_ds(edges), iters=5, num_partitions=4, impl="dataset"
-    ).materialize()
+    force_wide_exchange(monkeypatch)
+    res = pagerank_micro(edge_ds(edges), iters=5, num_partitions=4).materialize()
     assert res.num_blocks() <= 4
     out = {r["node"]: r["rank_micro"] for r in res.take_all()}
     assert out == ref_pagerank(edges, 5)
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_pagerank_tasks_loop_bit_equal_to_dataset_loop():
+def test_pagerank_tasks_loop_bit_equal_to_dataset_loop(monkeypatch):
     """The raw-task iteration loop (the default at bounded partition
     counts) must be bit-equal to the Dataset sort-shuffle loop — across
     partition counts (incl. the degenerate P=1 exchange), at iters=0
@@ -370,32 +377,23 @@ def test_pagerank_tasks_loop_bit_equal_to_dataset_loop():
         {(int(a), int(b)) for a, b in rng.randint(0, 200, (1500, 2)) if a != b}
     )
 
-    def ranks(**kw):
-        return {
-            r["node"]: r["rank_micro"]
-            for r in pagerank_micro(edge_ds(edges), **kw).take_all()
-        }
-
-    for P in (1, 4, 8):
-        assert ranks(iters=3, num_partitions=P, impl="tasks") == ranks(
-            iters=3, num_partitions=P, impl="dataset"
-        )
-    assert ranks(iters=0, num_partitions=4, impl="tasks") == ranks(
-        iters=0, num_partitions=4, impl="dataset"
-    )
     # hub case: node 7 fans out to 400 destinations — salted on both paths
     hub = [(7, d) for d in range(400)] + [(d, 7) for d in range(40)]
-    hub_ds = edge_ds(hub)
-    a = {
-        r["node"]: r["rank_micro"]
-        for r in pagerank_micro(
-            hub_ds, iters=3, num_partitions=4, hot_degree_min=10, impl="tasks"
-        ).take_all()
-    }
-    b = {
-        r["node"]: r["rank_micro"]
-        for r in pagerank_micro(
-            hub_ds, iters=3, num_partitions=4, hot_degree_min=10, impl="dataset"
-        ).take_all()
-    }
-    assert a == b == ref_pagerank(hub, 3)
+    runs = [(edges, dict(iters=3, num_partitions=P)) for P in (1, 4, 8)] + [
+        (edges, dict(iters=0, num_partitions=4)),
+        (hub, dict(iters=3, num_partitions=4, hot_degree_min=10)),
+    ]
+
+    def ranks():
+        return [
+            {
+                r["node"]: r["rank_micro"]
+                for r in pagerank_micro(edge_ds(e), **kw).take_all()
+            }
+            for e, kw in runs
+        ]
+
+    tasks = ranks()
+    force_wide_exchange(monkeypatch)
+    assert tasks == ranks()
+    assert tasks[-1] == ref_pagerank(hub, 3)

@@ -485,8 +485,9 @@ def test_hash_join_composite_key_all_modes():
 @pytest.mark.usefixtures("ray_session")
 def test_exchange_map_groups_contract_and_fallback(monkeypatch):
     """The group fn runs once per NON-EMPTY bucket and only those reach
-    the output; an all-empty exchange is ONE typed empty block; past
-    the width gate the sort-shuffle fallback yields the same rows."""
+    the output; with a column key it runs once per distinct key, whole;
+    an all-empty exchange is ONE typed empty block; past the width gate
+    the sort-shuffle fallback yields the same rows."""
     import pyarrow as pa
 
     from ocr_lib_ray.functions import bucket_tasks
@@ -517,22 +518,71 @@ def test_exchange_map_groups_contract_and_fallback(monkeypatch):
     want = sorted(
         (k, sum(v for v, kk in zip(range(30), keys) if kk == k)) for k in {0, 5, 9}
     )
-    raw = exchange_map_groups(ds, bucket_fn, 16, group)
+    raw = exchange_map_groups(ds, bucket_fn, group, 16)
     assert raw.num_blocks() == 3
     assert rows(raw) == want
 
     empty = exchange_map_groups(
         ds,
         bucket_fn,
-        16,
         lambda t: t.group_by("k").aggregate([("v", "sum")]),
+        16,
         pre_fn=lambda t: t.slice(0, 0),
     )
     assert empty.num_blocks() == 1 and empty.count() == 0
     assert sorted(empty.schema().names) == ["k", "v_sum"]
 
+    # column keys: the group fn runs once per distinct key, whole — an
+    # int key, a string key with nulls, a composite key (pandas frames)
+    from collections import Counter
+
+    n = 40
+    tbl = pa.table(
+        {
+            "i": pa.array([i % 7 for i in range(n)], pa.int64()),
+            "s": pa.array([None if i % 5 == 0 else f"k{i % 3}" for i in range(n)]),
+            "v": pa.array(range(n), pa.int64()),
+        }
+    )
+    # one input block where a key holds nulls: Ray's sort shuffle (the
+    # fallback) cannot order None against str across sampled blocks
+    cases = [
+        ("i", rd.from_arrow(tbl).repartition(4).materialize(), "pyarrow"),
+        ("s", rd.from_arrow(tbl), "pyarrow"),
+        (["i", "s"], rd.from_arrow(tbl), "pandas"),
+    ]
+    for key, kds, fmt in cases:
+        cols = [key] if isinstance(key, str) else key
+        src = kds.take_all()
+        sizes = Counter(tuple(r[c] for c in cols) for r in src)
+
+        def per_key(g, cols=cols, sizes=sizes, fmt=fmt):
+            recs = g.to_dict("records") if fmt == "pandas" else g.to_pylist()
+            keys = {tuple(None if pd.isna(r[c]) else r[c] for c in cols) for r in recs}
+            assert len(keys) == 1, f"group fn saw keys {keys}"
+            (k,) = keys
+            assert len(recs) == sizes[k], f"key {k} split across calls"
+            out = {c: [k[j]] for j, c in enumerate(cols)}
+            out["vs"] = [",".join(str(r["v"]) for r in sorted(recs, key=lambda r: r["v"]))]
+            return pd.DataFrame(out) if fmt == "pandas" else pa.table(out)
+
+        def key_rows(out, cols=cols):
+            return sorted(
+                ((tuple(r[c] for c in cols), r["vs"]) for r in out.take_all()),
+                key=repr,
+            )
+
+        raw = key_rows(exchange_map_groups(kds, key, per_key, 16, batch_format=fmt))
+        assert len(raw) == len(sizes)
+        # the default width: at most one bucket per input block
+        assert key_rows(exchange_map_groups(kds, key, per_key, batch_format=fmt)) == raw
+        monkeypatch.setattr(bucket_tasks, "TASK_EXCHANGE_MAX_PARTITIONS", 8)
+        fallback = key_rows(exchange_map_groups(kds, key, per_key, 16, batch_format=fmt))
+        monkeypatch.undo()
+        assert raw == fallback, key
+
     monkeypatch.setattr(bucket_tasks, "TASK_EXCHANGE_MAX_PARTITIONS", 8)
-    assert rows(exchange_map_groups(ds, bucket_fn, 16, group)) == want
+    assert rows(exchange_map_groups(ds, bucket_fn, group, 16)) == want
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -217,17 +217,58 @@ def test_manifest_job_and_resume(sf_small, tmp_path):
     assert r1["partitions_written"] > 0 and r1["partitions_skipped"] == 0
     done = completed_partitions(out)
     assert len(done) == r1["partitions_written"]
-    # resume: everything already done → nothing rewritten
+    import os
+
+    def files():
+        return {
+            os.path.join(d, f): os.stat(os.path.join(d, f)).st_mtime_ns
+            for d, _, fs in os.walk(out)
+            for f in fs
+        }
+
+    # resume: everything already done → nothing rewritten; the sink's
+    # group fn, probed once on an empty table to type the empty result,
+    # must not write either
+    before = files()
     r2 = run_extract_job(sf_small, out, resume=True)
     assert r2["partitions_written"] == 0
     assert r2["partitions_skipped"] == r1["partitions_written"]
+    assert files() == before
     # partial resume: delete one manifest row → exactly one partition redone
-    import os
 
     man = sorted(os.listdir(os.path.join(out, "manifest")))
     os.remove(os.path.join(out, "manifest", man[0]))
     r3 = run_extract_job(sf_small, out, resume=True)
     assert r3["partitions_written"] == 1
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_manifest_sink_width_follows_blocks(sf_small, tmp_path, monkeypatch):
+    """The manifest sink exchanges over one bucket per extracted block,
+    not capped by the default job's partition count: a 24-partition job
+    over ~32 blocks runs one exchange as wide as its block count, and
+    every partition is written and valid."""
+    import ocr_lib_ray.pipelines.extract as pe
+    from ocr_lib_ray.config import DEFAULT_CONFIG, ExtractConfig
+    from ocr_lib_ray.stages.manifest import validate_job
+
+    widths = []
+    exchange = pe.exchange_map_groups
+
+    def spy(ds, key, fn, num_partitions=None, **kw):
+        widths.append((num_partitions, ds.num_blocks()))
+        return exchange(ds, key, fn, num_partitions, **kw)
+
+    monkeypatch.setattr(pe, "exchange_map_groups", spy)
+    cfg = ExtractConfig(num_partitions=24, bulk_batch_size=16)
+    pages = pe.build_pages_dataset(sf_small).repartition(32)
+    out = str(tmp_path / "wide")
+    r = pe.write_with_manifest(pe.extract_pipeline(pages, cfg), out)
+    ((width, blocks),) = widths
+    assert width == blocks > DEFAULT_CONFIG.num_partitions
+    assert r == {"partitions_written": 24, "partitions_skipped": 0}
+    audit = validate_job(out)
+    assert audit["partitions"] == 24 and not audit["invalid"]
 
 
 @pytest.mark.usefixtures("ray_session")
