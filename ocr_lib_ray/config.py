@@ -54,25 +54,15 @@ class ExtractConfig:
 
     # -- giant pages (analog of the band split for big pages,
     #    core.clj:1460-1481): documents with len(html) above this parse
-    #    in bounded chunk passes (below).
+    #    in chunk_size passes (read-black-dots-part-fn + merge-separated-
+    #    parts seam algebra, core.clj:398-501,1392-1458) that carry the
+    #    tag-stack across the seam and equal the unchunked parse.  This
+    #    bounds no memory: a page costs O(page) either way (the decoded
+    #    page and its whole TokenizedDoc stay resident); bulk_batch_size
+    #    bounds how many rows are co-resident.
     giant_threshold: int = 1 << 20  # 1 MiB
     bulk_batch_size: int = 256
-
-    # -- chunked tokenize for giant pages (analog of
-    #    read-black-dots-part-fn + merge-separated-parts seam algebra,
-    #    core.clj:398-501,1392-1458): parse in bounded passes that carry
-    #    the tag-stack across the seam; must equal unchunked parse.
     chunk_size: int = 256 * 1024
-    # -- intra-document PARALLEL band parse (the pcalls analog,
-    #    core.clj:1460-1514): a state-only skeleton scan finds each
-    #    band's entry state, then bands parse as independent Ray tasks.
-    #    Default-ON since round 5: it only engages past band_size (the
-    #    sequential chunked parse already bounds memory below that),
-    #    the parent parses the first band inline, and a task blocked in
-    #    ray.get releases its CPU — concurrent giants cannot deadlock
-    #    (pinned at num_cpus=4 by the concurrent-parents test).
-    giant_band_parallel: bool = True
-    band_size: int = 32 * 1024 * 1024  # 32 MiB per band task
 
     # -- partitioning (north_rule: partition by url-hash)
     num_partitions: int = 16

@@ -116,23 +116,17 @@ def decode_bytes(html: bytes) -> str:
 def extract_document(
     html: bytes,
     cfg: ExtractConfig = DEFAULT_CONFIG,
-    chunked: bool = False,
     tags: TagConfig = DEFAULT_TAGS,
-    tokenizer=None,
 ) -> ExtractResult:
     """bytes → (text, spans, residuals).  Pure; no I/O, no clock, no RNG.
 
-    HTML branch: tokenize (optionally in bounded chunk passes for giant
-    pages) → segment into blocks → classify each block → accepted blocks
-    join with "\\n" in reading order; rejected block ids become residuals
-    capped at ``cfg.residual_cap`` per document (per-DOCUMENT, unlike the
-    reference's per-thread cap — see config.py).
-
-    ``tokenizer`` (decoded str → TokenizedDoc) overrides the HTML
-    tokenize step — the injection point for the Ray band-parallel parse
-    (pipelines.extract.tokenize_giant_parallel); the kernel itself stays
-    Ray-free.  Any injected tokenizer must be output-equivalent to
-    :func:`tokenize` (the banded one is, property-tested).
+    HTML branch: tokenize (in ``cfg.chunk_size`` passes past
+    ``cfg.giant_threshold``; output-equal to the one-shot parse, memory
+    O(page) either way) → segment into blocks → classify each block →
+    accepted blocks join with "\\n" in reading order; rejected block ids
+    become residuals capped at ``cfg.residual_cap`` per document
+    (per-DOCUMENT, unlike the reference's per-thread cap — see
+    config.py).
     """
     if html:
         html = maybe_decode_base64(html)
@@ -153,9 +147,7 @@ def extract_document(
             residuals=residuals,
             residual_texts=residual_texts,
         )
-    if tokenizer is not None:
-        doc = tokenizer(data)
-    elif chunked or len(data) > cfg.giant_threshold:
+    if len(data) > cfg.giant_threshold:
         doc = tokenize_chunked(data, cfg.chunk_size, tags)
     else:
         doc = tokenize(data, tags)

@@ -423,114 +423,16 @@ def tokenize(html: str, tags: TagConfig = DEFAULT_TAGS) -> TokenizedDoc:
     return doc
 
 
-class _NullAppender:
-    """No-op list stand-in so the state-only skeleton scan reuses the
-    tokenize_range hot loop without collecting output."""
-
-    __slots__ = ()
-
-    def append(self, _v) -> None:
-        return None
-
-
-class _NullDoc:
-    """TokenizedDoc shape with no-op columns (state-only scanning)."""
-
-    __slots__ = ()
-    starts = ends = texts = _NullAppender()
-    boiler = link = heading = _NullAppender()
-    listitem = block_seq = block_tag = _NullAppender()
-
-
-def _copy_state(st: TagState) -> TagState:
-    return TagState(
-        stack=list(st.stack),
-        boiler_depth=st.boiler_depth,
-        link_depth=st.link_depth,
-        heading_depth=st.heading_depth,
-        li_depth=st.li_depth,
-        block_seq=st.block_seq,
-        block_tag_stack=list(st.block_tag_stack),
-    )
-
-
-def scan_band_states(html: str, band_size: int, tags: TagConfig = DEFAULT_TAGS) -> list:
-    """Sequential STATE-ONLY skeleton pass for the parallel band parse
-    (the ``pcalls`` preparation step — the reference instead merges
-    band outputs afterwards, core.clj:1392-1458; here the seam algebra
-    runs up front so every band knows its exact entry state).
-
-    Returns ``[(start, limit, entry_state), ...]`` where ``limit =
-    min(start + band_size, len(html))`` and each band's ACTUAL end is
-    the next band's start (a construct straddling the seam is consumed
-    whole by the earlier band, exactly as tokenize_chunked does).  The
-    scan emits nothing (no-op output columns), so it is cheaper than a
-    full parse; correctness does not depend on that.
-    """
-    bands: list = []
-    st = TagState()
-    nd = _NullDoc()
-    pos = 0
-    n = len(html)
-    while pos < n:
-        start = pos
-        limit = min(start + band_size, n)
-        snap = _copy_state(st)
-        pos = tokenize_range(html, nd, st, start, limit, tags)
-        bands.append((start, limit, snap))
-    return bands
-
-
-def tokenize_band(
-    html: str, start: int, limit: int, state: TagState, tags: TagConfig = DEFAULT_TAGS
-) -> TokenizedDoc:
-    """Parse ONE band from its recorded entry state (independent of
-    every other band — safe to run in its own Ray task).  ``limit``
-    must be the value recorded by :func:`scan_band_states`; the band's
-    true end (possibly past ``limit``) re-derives identically because
-    tokenize_range is deterministic."""
-    doc = TokenizedDoc()
-    st = _copy_state(state)
-    tokenize_range(html, doc, st, start, limit, tags)
-    return doc
-
-
-def merge_docs(docs: list) -> TokenizedDoc:
-    """Concatenate band outputs in band order (the merge-separated-parts
-    analog — trivial here because block_seq continuity rides in the
-    entry states, so no renumbering is needed)."""
-    out = TokenizedDoc()
-    for d in docs:
-        out.starts.extend(d.starts)
-        out.ends.extend(d.ends)
-        out.texts.extend(d.texts)
-        out.boiler.extend(d.boiler)
-        out.link.extend(d.link)
-        out.heading.extend(d.heading)
-        out.listitem.extend(d.listitem)
-        out.block_seq.extend(d.block_seq)
-        out.block_tag.extend(d.block_tag)
-    return out
-
-
-def tokenize_banded(html: str, band_size: int, tags: TagConfig = DEFAULT_TAGS) -> TokenizedDoc:
-    """In-process reference implementation of the band-parallel parse:
-    skeleton scan → independent band parses → merge.  Byte-equivalent
-    to :func:`tokenize` / :func:`tokenize_chunked` (property-tested);
-    the Ray fan-out lives in pipelines.extract.tokenize_giant_parallel
-    (the kernel stays Ray-free)."""
-    bands = scan_band_states(html, band_size, tags)
-    return merge_docs([tokenize_band(html, s, lim, st, tags) for s, lim, st in bands])
-
-
 def tokenize_chunked(html: str, chunk_size: int, tags: TagConfig = DEFAULT_TAGS) -> TokenizedDoc:
-    """Bounded-pass tokenize for giant pages.
+    """Tokenize in ``chunk_size`` passes (pages past ``giant_threshold``).
 
     Seam algebra analog of ``read-black-dots-part-fn`` +
     ``merge-separated-parts`` (core.clj:398-501, 1392-1458): each pass
     parses one byte range, the tag stack is carried across the seam, and
     a construct straddling the seam is consumed whole by the earlier
     pass.  Result is identical to :func:`tokenize` (property-tested).
+    Memory is O(page) either way: the page and the whole
+    :class:`TokenizedDoc` stay resident.
     """
     doc = TokenizedDoc()
     st = TagState()

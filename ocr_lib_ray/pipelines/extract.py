@@ -5,7 +5,7 @@ Distributed form of ``read-image-fn``
 
     read_parquet (column-pruned)
       → map_batches(synthesize_pages)          # fixture source stage
-      → map_batches(add_partition_meta)        # url-hash partition id + size
+      → map_batches(add_partition_meta)        # url-hash partition id
       → map_batches(ExtractDocuments, actor pool)  # the kernel
       → write_with_manifest (exchange by partition id) | write_partitioned
 
@@ -33,7 +33,7 @@ from ..stages.manifest import (
     make_partition_writer,
     make_resume_filter,
 )
-from ..stages.partition import add_partition_meta, drop_columns
+from ..stages.partition import add_partition_meta
 
 
 def build_pages_dataset(sf_dir: str, repeat: int = 1) -> rd.Dataset:
@@ -79,8 +79,9 @@ def extract_pipeline(
       ``__init__`` and shared across batches.
 
     Giant pages need no routing: the kernel parses any page above
-    ``giant_threshold`` in bounded chunk passes, and ``batch_size``
-    bounds co-resident rows.
+    ``giant_threshold`` in ``chunk_size`` passes, output-equal to the
+    one-shot parse.  A page's memory is O(page) on either parse;
+    ``batch_size`` bounds how many rows are co-resident.
     """
     import functools
 

@@ -6,7 +6,8 @@ The distributed form of the reference's thread fan-out
 batches across the cluster instead of bands across threads, and because
 the kernel is a pure per-document function, output is byte-identical at
 any parallelism — the property the reference needs its band-merge algebra
-for.
+for.  A page is never split across tasks: each row is one kernel call,
+O(page) memory, and the batch size bounds how many rows are co-resident.
 
 ``ExtractDocuments`` is a callable CLASS → actor pool: configuration and
 compiled state are built ONCE per actor in ``__init__`` (fixing the
@@ -92,82 +93,15 @@ class ExtractDocuments:
         return extract_batch(batch, self.cfg, self.tags)
 
 
-def _band_task_fn():
-    """Lazily-decorated remote band parser (module import stays Ray-free
-    until the parallel path is actually used)."""
-    global _BAND_TASK
-    if _BAND_TASK is None:
-        import ray
-
-        from ..kernel.tokenizer import tokenize_band
-
-        @ray.remote(num_cpus=1)
-        def band_task(html, start, limit, state, tags):
-            return tokenize_band(html, start, limit, state, tags)
-
-        _BAND_TASK = band_task
-    return _BAND_TASK
-
-
-_BAND_TASK = None
-
-
-def tokenize_giant_parallel(data: str, cfg: ExtractConfig, tags):
-    """Intra-document parallel parse of ONE giant page — the ``pcalls``
-    analog (core.clj:1460-1514 band fan-out + core.clj:1392-1458 seam
-    merge, run up front as a state-only skeleton scan instead of a
-    post-merge): the scan records each ``cfg.band_size`` band's exact
-    entry TagState sequentially (cheap — no output is collected), the
-    bands then parse as INDEPENDENT Ray tasks against one ``ray.put``
-    copy of the page, and outputs concatenate in band order.
-
-    Output-equivalent to the sequential chunked parse (tested).
-    Scheduler-safe by construction (round 5, default-ON): the parent
-    parses the FIRST band inline while the remaining bands run as
-    tasks, and a Ray TASK blocked in ``ray.get`` releases its CPU
-    resource back to the scheduler — so concurrent giant parents
-    cannot deadlock the cluster even at num_cpus=4 (pinned by
-    test_giant_band_parallel_concurrent_parents_no_deadlock; brief
-    oversubscription when a blocked parent resumes is the documented
-    cost).  Falls back to the in-process banded parse when Ray is not
-    initialized or the page fits one band.
-    """
-    import ray
-
-    from ..kernel.tokenizer import merge_docs, scan_band_states, tokenize_band
-
-    bands = scan_band_states(data, cfg.band_size, tags)
-    if len(bands) <= 1 or not ray.is_initialized():
-        return merge_docs([tokenize_band(data, s, e, st, tags) for s, e, st in bands])
-    href = ray.put(data)
-    task = _band_task_fn()
-    refs = [task.remote(href, s, e, st, tags) for s, e, st in bands[1:]]
-    s0, e0, st0 = bands[0]
-    first = tokenize_band(data, s0, e0, st0, tags)  # parent works, not waits
-    return merge_docs([first] + ray.get(refs))
-
-
 def extract_batch(
     batch: pa.Table, cfg: ExtractConfig = DEFAULT_CONFIG, tags=None
 ) -> pa.Table:
-    """Pure batch transform (usable as a stateless task too).
-
-    With ``cfg.giant_band_parallel`` set, rows larger than
-    ``cfg.band_size`` parse via the intra-document parallel band path
-    (one Ray task per band) instead of the sequential chunked loop.
-    """
+    """Pure batch transform (usable as a stateless task too): one
+    :func:`extract_document` call per row, no Ray tasks."""
     from ..kernel.tokenizer import DEFAULT_TAGS
 
     if tags is None:
         tags = DEFAULT_TAGS
-    if cfg.giant_band_parallel:
-        def tokenizer_for(data_len: int):
-            if data_len <= cfg.band_size:
-                return None
-            return lambda d: tokenize_giant_parallel(d, cfg, tags)
-    else:
-        def tokenizer_for(data_len: int):
-            return None
     urls = batch.column("url")
     htmls = batch.column("html")
     langs = (
@@ -183,9 +117,7 @@ def extract_batch(
     texts, titles, spans, kinds, residuals, res_texts = [], [], [], [], [], []
     raw = htmls.to_pylist()
     for i in range(batch.num_rows):
-        res = extract_document(
-            raw[i], cfg, tags=tags, tokenizer=tokenizer_for(len(raw[i] or b""))
-        )
+        res = extract_document(raw[i], cfg, tags=tags)
         texts.append(res.text)
         titles.append(res.title)
         spans.append(res.spans)

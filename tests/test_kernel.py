@@ -358,9 +358,9 @@ def test_pdf_multiple_text_objects():
 @pytest.mark.parametrize("chunked", [False, True])
 def test_chunked_extraction_identical(chunked):
     html = ("<main>" + "".join(f"<p>block {i} with several words</p>" for i in range(200)) + "</main>").encode()
-    small_chunks = ExtractConfig(chunk_size=64)
-    a = extract_document(html, CFG, chunked=chunked)
-    b = extract_document(html, small_chunks, chunked=True)
+    # giant_threshold=0 sends every page down the chunked parse
+    a = extract_document(html, ExtractConfig(giant_threshold=0) if chunked else CFG)
+    b = extract_document(html, ExtractConfig(giant_threshold=0, chunk_size=64))
     assert a.text == b.text and a.spans == b.spans
 
 

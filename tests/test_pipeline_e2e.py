@@ -538,41 +538,6 @@ def test_build_training_data_join_dedup_equivalent(sf_small):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_giant_band_parallel_extraction_equivalent():
-    """cfg.giant_band_parallel: a multi-MB page parsed via one Ray task
-    per band (skeleton-scan entry states) must extract identically to
-    the sequential chunked kernel path."""
-    import pyarrow as pa
-
-    from ocr_lib_ray.stages.extract_stage import extract_batch
-
-    html = (
-        "<main>"
-        + "".join(
-            f"<article><h1>Doc section {i}</h1><p>content words for section {i} "
-            + "more filler text " * 60
-            + "</p></article>"
-            for i in range(2500)
-        )
-        + "</main>"
-    ).encode()
-    assert len(html) > 2_000_000
-    batch = pa.Table.from_arrays(
-        [
-            pa.array(["https://x/giant"], pa.string()),
-            pa.array([html], pa.binary()),
-        ],
-        names=["url", "html"],
-    )
-    seq = extract_batch(batch, ExtractConfig())
-    par = extract_batch(
-        batch, ExtractConfig(giant_band_parallel=True, band_size=256 * 1024)
-    )
-    assert seq.equals(par)
-    assert len(seq.column("text")[0].as_py()) > 100_000
-
-
-@pytest.mark.usefixtures("ray_session")
 def test_build_training_data_mixture_and_decontam_defaults_are_noops(sf_small):
     """mixture at rate 1.0 and an eval set overlapping nothing must both
     leave the packed output byte-identical to the default pipeline."""
@@ -810,54 +775,3 @@ def test_infer_glyph_widths_ds_distributed():
     )
     assert inferred.text == taught.text
     assert len(inferred.spans) == len(taught.spans)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_giant_band_parallel_concurrent_parents_no_deadlock():
-    """Round-5 default-ON pin: at the session's num_cpus=4, EIGHT
-    concurrent giant parents each fanning out band tasks must complete
-    (a blocked parent task releases its CPU — no nested-task deadlock)
-    and extract identically to the sequential chunked path."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from ocr_lib_ray.stages.extract_stage import extract_batch
-
-    def page(i: int) -> bytes:
-        return (
-            "<main>"
-            + "".join(
-                f"<article><h1>G{i} s{j}</h1><p>words for {i}/{j} "
-                + "filler " * 40
-                + "</p></article>"
-                for j in range(400)
-            )
-            + "</main>"
-        ).encode()
-
-    rows = pa.table(
-        {
-            "url": pa.array([f"https://x/g{i}" for i in range(8)], pa.string()),
-            "html": pa.array([page(i) for i in range(8)], pa.binary()),
-        }
-    )
-    cfg = ExtractConfig(band_size=16 * 1024)  # default giant_band_parallel=True
-    assert cfg.giant_band_parallel  # the round-5 default
-    assert all(len(h.as_py()) > 5 * cfg.band_size for h in rows.column("html"))
-    par = (
-        rd.from_arrow(rows)
-        .repartition(8)
-        .map_batches(lambda b, _c=cfg: extract_batch(b, _c), batch_format="pyarrow")
-        .to_pandas()
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    seq = (
-        extract_batch(rows, ExtractConfig(giant_band_parallel=False))
-        .to_pandas()
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    assert (par["url"] == seq["url"]).all()
-    assert (par["text"] == seq["text"]).all()
-    assert (par["text"].str.len() > 10_000).all()

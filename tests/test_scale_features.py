@@ -8,8 +8,8 @@ import pytest
 
 @pytest.mark.usefixtures("ray_session")
 def test_null_html_survives_extract():
-    """Regression: a null-html page must not vanish from extraction
-    (``html_len`` coalesces its null length to 0)."""
+    """Regression: a null-html page must not vanish from extraction; it
+    comes out as an empty document."""
     import pyarrow as pa
     import ray.data as rd
 

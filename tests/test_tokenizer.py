@@ -95,7 +95,7 @@ def test_collapse_ws():
     assert collapse_ws("  a\t\n b\f\vc  ") == "a b c"
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 5, 17, 100, 10_000])
+@pytest.mark.parametrize("chunk", [1, 2, 5, 17, 64, 100, 4096, 10_000])
 def test_chunked_equals_oneshot(chunk):
     """Seam algebra (merge-separated-parts analog): chunked parse at any
     chunk size is identical to the one-shot parse."""
@@ -118,26 +118,11 @@ def test_tagstate_counters_balanced():
     assert st.stack == [] and st.block_tag_stack == []
 
 
-@pytest.mark.parametrize("band", [3, 64, 4096])
-def test_banded_equals_oneshot(band):
-    """Intra-document parallel band parse (pcalls analog): skeleton
-    scan + independent per-band parses + merge must be identical to
-    the one-shot AND the sequential chunked parse at any band size."""
-    from ocr_lib_ray.kernel.tokenizer import tokenize_banded
-
-    html = FIXTURE * 3 + "<p>tail   with \n spaces</p>"
-    a = tokenize(html)
-    b = tokenize_banded(html, band)
-    assert a.__dict__ == b.__dict__
-    c = tokenize_chunked(html, band)
-    assert b.__dict__ == c.__dict__
-
-
 def test_banded_multi_mb_page():
-    """Multi-MB giant page: band entry states recorded by the skeleton
-    scan make every band independent; output equals the sequential
-    chunked parse byte-for-byte (the VERDICT #6 done-criterion)."""
-    from ocr_lib_ray.kernel.tokenizer import scan_band_states, tokenize_banded
+    """Multi-MB giant page: the chunked parse at the default
+    ``chunk_size`` (the giant-page path of ``extract_document``) spans
+    many seams and still equals the one-shot parse byte-for-byte."""
+    from ocr_lib_ray.config import DEFAULT_CONFIG
 
     html = (
         "<main>"
@@ -150,11 +135,7 @@ def test_banded_multi_mb_page():
         + "</main>"
     )
     assert len(html) > 2_000_000
-    bands = scan_band_states(html, 256 * 1024)
-    assert len(bands) > 4  # genuinely multi-band
-    # bands tile the document: each ends where the next starts
-    for (s1, _l1, _st1), (s2, _l2, _st2) in zip(bands, bands[1:]):
-        assert s1 < s2
-    a = tokenize_chunked(html, 256 * 1024)
-    b = tokenize_banded(html, 256 * 1024)
+    assert len(html) > 4 * DEFAULT_CONFIG.chunk_size  # genuinely multi-chunk
+    a = tokenize(html)
+    b = tokenize_chunked(html, DEFAULT_CONFIG.chunk_size)
     assert a.__dict__ == b.__dict__
