@@ -14,9 +14,10 @@ Four families, each Ray-Data-first and shuffle-conscious:
                    pair with hamming ≤ 3 shares a band) → in-group
                    hamming verify.
 * ngram-Jaccard  — exact all-pairs token-set Jaccard against a
-                   broadcast side (``ray.put`` once).  O(n²): the
-                   small-corpus oracle / verifier; at scale use the
-                   minhash path (documented).
+                   broadcast inverted shingle index (``ray.put`` once);
+                   cost ∝ co-occurring shingle pairs (n² when every doc
+                   shares shingles): the small-corpus oracle /
+                   verifier; at scale use the minhash path.
 
 All hashing is seeded/stable — never Python ``hash``; the minhash
 family uses md5-64 halves + splitmix64 (DuckDB-reproducible: the
@@ -26,6 +27,7 @@ minhash_pairs driver query carries a bit-exact SQL oracle).
 from __future__ import annotations
 
 import hashlib
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -205,74 +207,97 @@ def minhash_band_rows(
     )
 
 
-def _pairs_from_band(g: pd.DataFrame, threshold: float) -> pd.DataFrame:
-    """Candidate pairs for ONE band: bucket by band_hash (vectorized
-    pandas groupby — almost all buckets are singletons and are skipped
-    in C), then verify candidates from the signatures carried in the
-    rows (estimated Jaccard = fraction of equal minhashes).
+def _pairs_within_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-index pairs ``(i, j)``, ``i < j``, of every two rows inside
+    each run of equal values of the SORTED ``keys`` — the per-bucket
+    clique, built with one ``triu_indices`` per distinct run length
+    instead of a Python loop per bucket."""
+    if keys.size < 2:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sizes = np.diff(np.r_[starts, keys.size])
+    a_parts, b_parts = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for m in np.unique(sizes[sizes > 1]):
+        iu, ju = np.triu_indices(int(m), 1)
+        s = starts[sizes == m][:, None]
+        a_parts.append((s + iu).ravel())
+        b_parts.append((s + ju).ravel())
+    return np.concatenate(a_parts), np.concatenate(b_parts)
 
-    Grouping the Dataset by band (16 groups) instead of by
-    (band, band_hash) (~1 group per doc) avoids per-group Python
-    dispatch over mostly-singleton groups — 6× faster on the bench.
+
+#: row pairs compared per slice in :func:`_equal_fraction` (bounds the
+#: ``pairs × num_perm`` scratch to ~64 MB)
+_EQF_SLICE_PAIRS = 1 << 16
+
+
+def _equal_fraction(sigs: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Estimated Jaccard of the signature rows ``a[k]``, ``b[k]``: the
+    fraction of equal minhashes, vectorized over all pairs."""
+    out = np.empty(a.size, np.float64)
+    for lo in range(0, a.size, _EQF_SLICE_PAIRS):
+        hi = lo + _EQF_SLICE_PAIRS
+        out[lo:hi] = (sigs[a[lo:hi]] == sigs[b[lo:hi]]).mean(axis=1)
+    return out
+
+
+def _signature_matrix(signatures) -> np.ndarray:
+    """Sequence of equal-length signature byte strings → (rows, num_perm)
+    uint64 matrix in one copy."""
+    sigs = list(signatures)
+    if not sigs:
+        return np.empty((0, 0), np.uint64)
+    return np.frombuffer(b"".join(sigs), dtype=np.uint64).reshape(len(sigs), -1)
+
+
+def _pairs_from_band(g: pd.DataFrame, threshold: float) -> pd.DataFrame:
+    """Verified candidate pairs of ONE (band, bucket) exchange group, from
+    the signatures carried in the rows (estimated Jaccard = fraction of
+    equal minhashes), in one vectorized pass over the group:
+
+    1. drop duplicate ``(band_hash, doc_id)`` rows (first wins) and the
+       band_hash buckets left with one doc;
+    2. one ``lexsort`` by (band_hash, signature, doc_id) puts each
+       identical-signature cluster in one run, ids ascending.  Clique
+       compression: a cluster emits a CHAIN of est=1.0 pairs (k-1, not
+       k·(k-1)/2) — connected-component-equivalent for dedup, and the
+       difference between linear and quadratic pair volume on
+       dense-duplicate corpora;
+    3. the cluster's min id represents it; every two representatives
+       of a bucket pair up (:func:`_pairs_within_runs`) and keep
+       ``est >= threshold``, rounded with ``np.round(…, 6)``.
+
+    Rows are the same multiset as the per-bucket loop this replaced
+    (pinned against a frozen copy in tests); their order is not part of
+    the contract — the caller aggregates by (d1, d2).
     """
-    empty = pd.DataFrame({"d1": [], "d2": [], "est_jaccard": []}).astype(
-        {"d1": "int64", "d2": "int64", "est_jaccard": "float64"}
-    )
-    multi = g[g.groupby("band_hash")["doc_id"].transform("size") > 1]
-    if multi.empty:
-        return empty
-    parts = []
-    for _, sub in multi.groupby("band_hash", sort=False):
-        sub = sub.drop_duplicates("doc_id").sort_values("doc_id")
-        n = len(sub)
-        if n < 2:
-            continue
-        ids = sub["doc_id"].to_numpy()
-        sigs = np.stack([np.frombuffer(s, dtype=np.uint64) for s in sub["signature"]])
-        # clique compression: docs with IDENTICAL signatures form an
-        # est=1.0 cluster; emit a CHAIN (k-1 pairs) instead of the full
-        # clique (k·(k-1)/2) — connected-component-equivalent for dedup,
-        # and the difference between linear and quadratic pair volume on
-        # dense-duplicate corpora (40-way dup groups melted the shuffle
-        # before this).  Cross-cluster similarity is then computed on
-        # one representative per cluster, vectorized.
-        uniq, first_idx, inverse = np.unique(
-            sigs, axis=0, return_index=True, return_inverse=True
+    g = g.drop_duplicates(["band_hash", "doc_id"])
+    h = g["band_hash"].to_numpy()
+    _, inv, counts = np.unique(h, return_inverse=True, return_counts=True)
+    multi = counts[inv] > 1
+    if not multi.any():
+        return pd.DataFrame({"d1": [], "d2": [], "est_jaccard": []}).astype(
+            {"d1": "int64", "d2": "int64", "est_jaccard": "float64"}
         )
-        for c in np.nonzero(np.bincount(inverse) > 1)[0]:
-            members = np.sort(ids[inverse == c])
-            parts.append(
-                pd.DataFrame(
-                    {
-                        "d1": members[:-1],
-                        "d2": members[1:],
-                        "est_jaccard": 1.0,
-                    }
-                )
-            )
-        reps = ids[first_idx]
-        order = np.argsort(reps)
-        reps, rsigs = reps[order], uniq[order]
-        m = len(reps)
-        if m >= 2:
-            eqf = (rsigs[:, None, :] == rsigs[None, :, :]).mean(axis=2)
-            iu, ju = np.triu_indices(m, 1)
-            keep = eqf[iu, ju] >= threshold
-            if keep.any():
-                parts.append(
-                    pd.DataFrame(
-                        {
-                            "d1": reps[iu[keep]],
-                            "d2": reps[ju[keep]],
-                            "est_jaccard": np.round(eqf[iu[keep], ju[keep]], 6),
-                        }
-                    )
-                )
-    if not parts:
-        return empty
-    return pd.concat(parts, ignore_index=True).astype(
-        {"d1": "int64", "d2": "int64", "est_jaccard": "float64"}
-    )
+    h = h[multi]
+    ids = g["doc_id"].to_numpy(dtype=np.int64)[multi]
+    sigs = _signature_matrix(g["signature"].to_numpy()[multi])
+    order = np.lexsort((ids, *sigs.T[::-1], h))
+    h, ids, sigs = h[order], ids[order], sigs[order]
+    new_cluster = np.r_[True, (h[1:] != h[:-1]) | (sigs[1:] != sigs[:-1]).any(axis=1)]
+    in_chain = ~new_cluster[1:]
+    reps = np.flatnonzero(new_cluster)
+    by_id = np.lexsort((ids[reps], h[reps]))
+    reps = reps[by_id]
+    a, b = _pairs_within_runs(h[reps])
+    eqf = _equal_fraction(sigs, reps[a], reps[b])
+    keep = eqf >= threshold
+    return pd.DataFrame(
+        {
+            "d1": np.r_[ids[:-1][in_chain], ids[reps[a[keep]]]],
+            "d2": np.r_[ids[1:][in_chain], ids[reps[b[keep]]]],
+            "est_jaccard": np.r_[np.ones(int(in_chain.sum())), np.round(eqf[keep], 6)],
+        }
+    ).astype({"d1": "int64", "d2": "int64", "est_jaccard": "float64"})
 
 
 def minhash_lsh_pairs(
@@ -339,8 +364,6 @@ def minhash_lsh_pairs(
             Max("est_jaccard", alias_name="est_jaccard")
         )
 
-    import ray
-
     band_rows = docs_ds.map_batches(
         lambda b: minhash_band_rows(
             b, hasher, bands, group_buckets=group_buckets
@@ -350,15 +373,12 @@ def minhash_lsh_pairs(
     )
 
     def candidates_in_band(g: pd.DataFrame) -> pd.DataFrame:
-        multi = g[g.groupby("band_hash")["doc_id"].transform("size") > 1]
-        d1, d2 = [], []
-        for _, sub in multi.groupby("band_hash", sort=False):
-            ids = np.sort(sub["doc_id"].unique())
-            for i in range(len(ids)):
-                for j in range(i + 1, len(ids)):
-                    d1.append(ids[i])
-                    d2.append(ids[j])
-        return pd.DataFrame({"d1": d1, "d2": d2}).astype({"d1": "int64", "d2": "int64"})
+        g = g.drop_duplicates(["band_hash", "doc_id"])
+        h = g["band_hash"].to_numpy()
+        ids = g["doc_id"].to_numpy(dtype=np.int64)
+        order = np.lexsort((ids, h))
+        a, b = _pairs_within_runs(h[order])
+        return pd.DataFrame({"d1": ids[order[a]], "d2": ids[order[b]]})
 
     cand_df = (  # tiny: candidate pairs only
         exchange_map_groups(
@@ -368,7 +388,7 @@ def minhash_lsh_pairs(
         .drop_duplicates(["d1", "d2"])
     )
     cand_ids = pa.array(
-        sorted(set(cand_df["d1"]) | set(cand_df["d2"])), pa.int64()
+        np.unique(cand_df[["d1", "d2"]].to_numpy(dtype=np.int64)), pa.int64()
     )
     import pyarrow.compute as pc
 
@@ -378,31 +398,23 @@ def minhash_lsh_pairs(
         ),
         batch_format="pyarrow",
     )
-    sigs = {
-        i: np.frombuffer(s, dtype=np.uint64)
-        for i, s in zip(
-            *(
-                pa.concat_tables(list(sig_rows.iter_batches(batch_format="pyarrow")))
-                .to_pydict()
-                .values()
-            )
-        )
-    }
-    d1, d2, est = [], [], []
-    for a, b_ in zip(cand_df["d1"], cand_df["d2"]):
-        e = float((sigs[a] == sigs[b_]).mean())
-        if e >= threshold:
-            d1.append(a)
-            d2.append(b_)
-            est.append(round(e, 6))
+    sig_tab = pa.concat_tables(list(sig_rows.iter_batches(batch_format="pyarrow")))
+    # a repeated doc_id keeps its LAST signature row
+    sig_ids = sig_tab.column("doc_id").to_numpy()[::-1]
+    sig_ids, last = np.unique(sig_ids, return_index=True)
+    sigs = _signature_matrix(sig_tab.column("signature").to_pylist()[::-1])[last]
+    ia = np.searchsorted(sig_ids, cand_df["d1"].to_numpy(dtype=np.int64))
+    ib = np.searchsorted(sig_ids, cand_df["d2"].to_numpy(dtype=np.int64))
+    eqf = _equal_fraction(sigs, ia, ib)
+    keep = eqf >= threshold
     import ray.data as rd
 
     return rd.from_arrow(
         pa.Table.from_arrays(
             [
-                pa.array(d1, pa.int64()),
-                pa.array(d2, pa.int64()),
-                pa.array(est, pa.float64()),
+                pa.array(cand_df["d1"].to_numpy(dtype=np.int64)[keep], pa.int64()),
+                pa.array(cand_df["d2"].to_numpy(dtype=np.int64)[keep], pa.int64()),
+                pa.array(np.round(eqf[keep], 6), pa.float64()),
             ],
             names=["d1", "d2", "est_jaccard"],
         )
@@ -1245,25 +1257,88 @@ def simhash_pairs(
     return pairs.groupby(["d1", "d2"]).aggregate(Min("hamming", alias_name="hamming"))
 
 
-# --- exact n-gram Jaccard (small-corpus oracle path) -----------------------
+# --- exact n-gram Jaccard (inverted-index verifier) ------------------------
 
-#: hard cap for the exact O(n²) verifier — the broadcast side holds every
-#: doc's shingle-hash array, so this path is for verification corpora
-#: only; minhash_lsh_pairs is the scale path.
+#: hard cap for the exact verifier — the broadcast side holds every doc's
+#: shingle hashes, so this path is for verification corpora only;
+#: minhash_lsh_pairs is the scale path.
 NGRAM_JACCARD_MAX_DOCS = 1_000_000
+
+#: co-occurrence rows (query shingle × posting) expanded at once by
+#: :func:`ngram_jaccard_pairs_batch`: bounds its scratch memory however
+#: many documents share a shingle.
+JACCARD_SLICE_ROWS = 1 << 20
+
+
+class ShingleIndex(NamedTuple):
+    """Inverted index over the broadcast side of the exact verifier
+    (the all-pairs layout of Bayardo, Ma & Srikant, WWW 2007).
+
+    ``hashes``: every doc's distinct shingle hashes, sorted;
+    ``owners``: per hash, the rank of its doc in ``ids``;
+    ``ids``: the distinct doc ids, ascending; ``sizes``: per doc, the
+    size of its shingle set.
+    """
+
+    hashes: np.ndarray
+    owners: np.ndarray
+    ids: np.ndarray
+    sizes: np.ndarray
+
+
+def _range_rows(starts, lengths, ends, lo: int, hi: int):
+    """Rows ``lo:hi`` of the concatenated ranges
+    ``[starts[k], starts[k] + lengths[k])`` (``ends = cumsum(lengths)``)
+    → (range index k, position) per row."""
+    rows = np.arange(lo, hi, dtype=np.int64)
+    k = np.searchsorted(ends, rows, side="right")
+    return k, starts[k] + rows - (ends[k] - lengths[k])
+
+
+def _shingle_index(ids, sizes, values) -> ShingleIndex:
+    """Index the rows ``(ids[i], shingle set i)``, where ``values`` holds
+    the sets concatenated in row order and ``sizes`` their lengths.  A
+    repeated id keeps its LAST row (dict-assignment semantics)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    values = np.asarray(values, dtype=np.uint64)
+    uniq, last = np.unique(ids[::-1], return_index=True)
+    rows = ids.size - 1 - last
+    lengths = sizes[rows]
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    _, pos = _range_rows((np.cumsum(sizes) - sizes)[rows], lengths, ends, 0, total)
+    hashes = values[pos]
+    owners = np.repeat(np.arange(uniq.size, dtype=np.int64), lengths)
+    order = np.argsort(hashes, kind="stable")
+    return ShingleIndex(hashes[order], owners[order], uniq, lengths)
+
+
+def _check_jaccard_threshold(threshold: float) -> None:
+    if not threshold > 0:
+        raise ValueError(
+            f"threshold={threshold!r}: the exact n-gram Jaccard verifier needs "
+            "threshold > 0 (it only sees pairs that share a shingle)"
+        )
 
 
 def ngram_jaccard_pairs(docs_ds, n: int = 3, threshold: float = 0.5, max_docs: int = NGRAM_JACCARD_MAX_DOCS):
-    """Exact all-pairs token-set Jaccard (d1 < d2, jaccard ≥ threshold).
+    """Exact all-pairs token-set Jaccard (d1 < d2, jaccard ≥ threshold,
+    ``0 < threshold``).
 
-    The broadcast side ({doc_id: shingle-hash ndarray}) is built
-    DISTRIBUTED — shingling runs in map_batches, the driver collects only
-    the compact (doc_id, hashes) rows — then shipped once with
-    ``ray.put``.  O(n²) verification by design: this is the exact
-    small-corpus verifier (guarded at ``max_docs``); use
-    :func:`minhash_lsh_pairs` at scale.
+    Shingling runs DISTRIBUTED in map_batches; the driver collects only
+    the compact (doc_id, hashes) rows, builds one :class:`ShingleIndex`
+    and ships it once with ``ray.put`` (guarded at ``max_docs``).  Each
+    batch then verifies against the index
+    (:func:`ngram_jaccard_pairs_batch`): the cost is proportional to the
+    co-occurring shingle pairs, not to all n² doc pairs.  Worst case —
+    every doc shares every shingle — that is n²·|set| rows, in bounded
+    memory; use :func:`minhash_lsh_pairs` at scale.
     """
+    import pyarrow.compute as pc
     import ray
+
+    _check_jaccard_threshold(threshold)
 
     def shingle_rows(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -1279,62 +1354,107 @@ def ngram_jaccard_pairs(docs_ds, n: int = 3, threshold: float = 0.5, max_docs: i
             names=["doc_id", "hashes"],
         )
 
-    sets: dict = {}
+    ids, sizes, values = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.uint64)]
+    seen: set = set()
     for b in docs_ds.map_batches(
         shingle_rows, batch_format="pyarrow", zero_copy_batch=True
     ).iter_batches(batch_format="pyarrow"):
-        for i, h in zip(b.column("doc_id").to_pylist(), b.column("hashes").to_pylist()):
-            sets[i] = np.asarray(h, dtype=np.uint64)
-        if len(sets) > max_docs:
+        hashes = b.column("hashes").combine_chunks()
+        ids.append(b.column("doc_id").to_numpy())
+        sizes.append(pc.list_value_length(hashes).to_numpy())
+        values.append(hashes.flatten().to_numpy())
+        seen.update(ids[-1].tolist())
+        if len(seen) > max_docs:
             raise ValueError(
-                f"ngram_jaccard_pairs is the exact O(n²) small-corpus verifier "
+                f"ngram_jaccard_pairs is the exact small-corpus verifier "
                 f"(> {max_docs} docs); use minhash_lsh_pairs at scale"
             )
-    ref = ray.put(sets)
+    ref = ray.put(_shingle_index(*map(np.concatenate, (ids, sizes, values))))
     return docs_ds.map_batches(
         lambda b: ngram_jaccard_pairs_batch(b, ref, n, threshold),
         batch_format="pyarrow",
     )
 
 
-def ngram_jaccard_pairs_batch(batch: pa.Table, all_sets_ref, n: int, threshold: float) -> pa.Table:
-    """Per-batch exact Jaccard of each doc vs every LARGER doc_id.
+def _resolve_index(index_ref) -> ShingleIndex:
+    if index_ref is None:
+        index_ref = {}
+    if isinstance(index_ref, dict):
+        sets = [np.asarray(v, dtype=np.uint64) for v in index_ref.values()]
+        return _shingle_index(
+            list(index_ref),
+            [s.size for s in sets],
+            np.concatenate(sets) if sets else np.empty(0, np.uint64),
+        )
+    if isinstance(index_ref, ShingleIndex):
+        return index_ref
+    import ray
 
-    ``all_sets_ref`` is a ``ray.put`` broadcast of {doc_id: shingle-hash
-    ndarray} — shipped once per task/actor, not per batch pair (a plain
-    dict is accepted for unit tests).  O(n²) by design: this is the
-    exact verifier; use minhash_lsh_pairs at scale.
+    return ray.get(index_ref)
+
+
+def ngram_jaccard_pairs_batch(batch: pa.Table, index_ref, n: int, threshold: float) -> pa.Table:
+    """Per-batch exact Jaccard of each doc vs every LARGER doc_id of the
+    index that shares a shingle with it.
+
+    ``index_ref`` is a ``ray.put`` :class:`ShingleIndex` — shipped once
+    per task/actor, not per batch (a ShingleIndex or a plain
+    ``{doc_id: shingle-hash ndarray}`` dict is accepted for unit tests).
+    Each query shingle's postings are a ``searchsorted`` range of the
+    index; the (doc, partner) co-occurrences are expanded in slices of
+    ``JACCARD_SLICE_ROWS`` rows and counted with ``np.unique``, so the
+    cost is proportional to the co-occurring shingle pairs and the
+    scratch memory stays bounded (a shingle in every doc costs O(n) per
+    doc).  Rows: d1 in batch order, d2 ascending;
+    ``jaccard = round(inter / (|a| + |b| - inter), 6)``.
     """
-    if all_sets_ref is None:
-        all_sets = {}
-    elif isinstance(all_sets_ref, dict):
-        all_sets = all_sets_ref
-    else:
-        import ray
-
-        all_sets = ray.get(all_sets_ref)
-    ids = batch.column("doc_id").to_pylist()
+    _check_jaccard_threshold(threshold)
+    index = _resolve_index(index_ref)
+    ids = np.asarray(batch.column("doc_id").to_pylist(), dtype=np.int64)
     norm = normalize_expr(batch.column("text")).to_pylist()
-    other_ids = np.array(sorted(all_sets), dtype=np.int64)
+    mine = [shingle_hashes(t, n) for t in norm]
+    q_sizes = np.array([m.size for m in mine], dtype=np.int64)
+    q_hash = np.concatenate(mine) if mine else np.empty(0, np.uint64)
+    q_doc = np.repeat(np.arange(len(mine), dtype=np.int64), q_sizes)
+    starts = np.searchsorted(index.hashes, q_hash, side="left")
+    lengths = np.searchsorted(index.hashes, q_hash, side="right") - starts
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    # partners have a larger id: owner rank >= the first rank above the doc
+    min_owner = np.searchsorted(index.ids, ids, side="right")
+    n_owners = max(index.ids.size, 1)
+
     d1, d2, jac = [], [], []
-    for doc_id, text in zip(ids, norm):
-        mine = shingle_hashes(text, n)
-        if mine.size == 0:
-            continue
-        for oid in other_ids[other_ids > doc_id]:
-            theirs = all_sets[int(oid)]
-            if theirs.size == 0:
-                continue
-            inter = np.intersect1d(mine, theirs, assume_unique=True).size
-            j = inter / (mine.size + theirs.size - inter)
-            if j >= threshold:
-                d1.append(doc_id)
-                d2.append(int(oid))
-                jac.append(round(j, 6))
+
+    def emit(keys, inter):
+        q, o = keys // n_owners, keys % n_owners
+        j = inter / (q_sizes[q] + index.sizes[o] - inter)
+        ok = j >= threshold
+        d1.append(ids[q[ok]])
+        d2.append(index.ids[o[ok]])
+        jac.extend(round(x, 6) for x in j[ok].tolist())
+
+    carry_keys = carry_counts = np.empty(0, np.int64)
+    for lo in range(0, total, JACCARD_SLICE_ROWS):
+        hi = min(lo + JACCARD_SLICE_ROWS, total)
+        k, pos = _range_rows(starts, lengths, ends, lo, hi)
+        q, owner = q_doc[k], index.owners[pos]
+        keep = owner >= min_owner[q]
+        keys, counts = np.unique(q[keep] * n_owners + owner[keep], return_counts=True)
+        if carry_keys.size:
+            keys, inv = np.unique(np.r_[carry_keys, keys], return_inverse=True)
+            counts = np.bincount(inv, np.r_[carry_counts, counts]).astype(np.int64)
+        # every doc before the next slice's first doc is complete
+        done = keys.size
+        if hi < total:
+            next_doc = q_doc[np.searchsorted(ends, hi, side="right")]
+            done = int(np.searchsorted(keys, next_doc * n_owners))
+        emit(keys[:done], counts[:done])
+        carry_keys, carry_counts = keys[done:], counts[done:]
     return pa.Table.from_arrays(
         [
-            pa.array(d1, pa.int64()),
-            pa.array(d2, pa.int64()),
+            pa.array(np.concatenate(d1) if d1 else [], pa.int64()),
+            pa.array(np.concatenate(d2) if d2 else [], pa.int64()),
             pa.array(jac, pa.float64()),
         ],
         names=["d1", "d2", "jaccard"],

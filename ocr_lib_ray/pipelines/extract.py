@@ -107,8 +107,11 @@ def extract_pipeline(
 
 def write_with_manifest(extracted: rd.Dataset, out_dir: str, resume: bool = True) -> dict:
     """Sink: per-partition atomic parquet + lineage manifest rows; with
-    ``resume`` the already-completed partitions are filtered out BEFORE
-    extraction work is scheduled (anti-join against the manifest).
+    ``resume`` the already-completed partitions are filtered out of the
+    EXTRACTED rows (anti-join against the manifest), so a resumed job
+    still extracts every page and writes only the missing partitions.
+    Dropping the done partitions on the pages side, before extraction,
+    is ROADMAP item 1.
 
     Returns ``{"partitions_written": n, "partitions_skipped": k}``.
     """

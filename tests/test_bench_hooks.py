@@ -42,3 +42,29 @@ def test_exchange_signature_matches_the_trace_wrapper():
         ("merge_fn", None),
         ("pre_fn", None),
     ]
+
+
+def test_band_count_hook_reads_the_band_verifier():
+    """``dedup.lsh_candidates`` and ``dedup.lsh_pairs`` come from
+    ``spans._count_band(out, args)`` around ``dedup._pairs_from_band``:
+    candidates are the within-band_hash row pairs of the input frame,
+    pairs the rows of the output."""
+    import numpy as np
+    import pandas as pd
+
+    from ocr_lib_ray.functions import dedup
+
+    same = np.arange(8, dtype=np.uint64).tobytes()
+    other = np.full(8, 99, dtype=np.uint64).tobytes()
+    g = pd.DataFrame(
+        {
+            "band": np.zeros(6, np.int32),
+            "bucket": np.zeros(6, np.int32),
+            "band_hash": np.array([7, 7, 7, 9, 9, 11], np.uint32),
+            "doc_id": np.array([1, 2, 3, 4, 5, 6], np.int64),
+            "signature": [same, same, other, same, same, same],
+        }
+    )
+    out = dedup._pairs_from_band(g, 0.5)
+    assert sorted(zip(out["d1"], out["d2"])) == [(1, 2), (4, 5)]
+    assert spans._count_band(out, (g, 0.5)) == [3 + 1, 2]
