@@ -433,9 +433,10 @@ def _semi_anti_sides(sf_dir: str):
 
 
 def _q_doc_semi_join(sf_dir: str):
-    """Bucketed hash SEMI join (EXISTS filter): documents whose id has
-    an embedding labelled < 3 — only the right KEY ships through the
-    shuffle, left rows never multiply."""
+    """Hash SEMI join (EXISTS filter): documents whose id has an
+    embedding labelled < 3 — only the right KEY is read, left rows
+    never multiply; the key set broadcasts while it fits, else it
+    ships through the bucketed exchange."""
     from ocr_lib_ray.functions.joins import hash_join
 
     left, right = _semi_anti_sides(sf_dir)
@@ -443,8 +444,8 @@ def _q_doc_semi_join(sf_dir: str):
 
 
 def _q_doc_anti_join(sf_dir: str):
-    """Bucketed hash ANTI join (NOT EXISTS) — the general form of the
-    dedup/decontamination loser filter."""
+    """Hash ANTI join (NOT EXISTS) — the dedup/decontamination loser
+    filter every dedup operator calls."""
     from ocr_lib_ray.functions.joins import hash_join
 
     left, right = _semi_anti_sides(sf_dir)
@@ -806,8 +807,9 @@ def _q_dup_cluster_sizes(sf_dir: str):
 
 def _q_dedup_fuzzy_keep_best(sf_dir: str):
     """Near-dup dedup keeping the quality winner per cluster (max
-    n_chars, min-id tie) — minhash pairs → distributed CC → bucketed
-    left join → keep_latest; nothing driver-collected."""
+    n_chars, min-id tie) — minhash pairs → distributed CC → broadcast
+    label stamp + driver winner reduce (bucketed left join →
+    keep_latest once the labels outgrow the broadcast bound)."""
     import ray.data as rd
 
     from ocr_lib_ray.functions.dedup import dedup_fuzzy_keep_best
@@ -876,8 +878,8 @@ def _q_crawl_diff(sf_dir: str):
 def _q_dedup_incremental(sf_dir: str):
     """Crawl-over-crawl dedup: the even-doc_id half of the corpus plays
     the PRIOR crawl (its fingerprints are the published snapshot); the
-    full corpus dedups against it via the bucketed anti-join (nothing
-    collected — the reference side is corpus-sized by definition)."""
+    full corpus dedups against it via the anti hash_join on the
+    fingerprint."""
     import pyarrow.compute as pc
 
     from ocr_lib_ray.functions.dedup import dedup_against_reference, doc_fingerprints
@@ -921,8 +923,8 @@ def _q_dedup_incremental_minhash(sf_dir: str):
     """Crawl-over-crawl NEAR-dup dedup: same even-half-as-prior-crawl
     setup as dedup_incremental, but the match is banded minhash
     (threshold 0.5) instead of exact fingerprints — paraphrases of
-    already-trained pages are caught.  Join-mode anti-filter: nothing
-    collected on either the band or loser side."""
+    already-trained pages are caught; the losers drop through the
+    anti hash_join."""
     import pyarrow.compute as pc
 
     from ocr_lib_ray.functions.dedup import dedup_minhash_incremental
@@ -933,7 +935,7 @@ def _q_dedup_incremental_minhash(sf_dir: str):
         batch_format="pyarrow",
     )
     return dedup_minhash_incremental(
-        docs, prior, threshold=0.5, mode="join", num_partitions=8
+        docs, prior, threshold=0.5, num_partitions=8
     ).select_columns(["doc_id"])
 
 
@@ -2152,15 +2154,14 @@ def _q_line_dedup_join(sf_dir: str):
 
 
 def _q_dedup_jaccard(sf_dir: str):
-    """Exact-Jaccard near-dup dedup through the hash-join anti-filter
-    (dedup_by_pairs_join) — the no-broadcast loser filtering path,
-    fully SQL-expressible because the pair source is exact ngram
-    Jaccard."""
-    from ocr_lib_ray.functions.dedup import dedup_by_pairs_join, ngram_jaccard_pairs
+    """Exact-Jaccard near-dup dedup through the loser filter
+    (dedup_by_pairs, the anti hash_join), fully SQL-expressible because
+    the pair source is exact ngram Jaccard."""
+    from ocr_lib_ray.functions.dedup import dedup_by_pairs, ngram_jaccard_pairs
 
     docs = _docs(sf_dir)
     pairs = ngram_jaccard_pairs(docs, n=3, threshold=0.5)
-    return dedup_by_pairs_join(docs, pairs, num_partitions=8).select_columns(["doc_id"])
+    return dedup_by_pairs(docs, pairs).select_columns(["doc_id"])
 
 
 def _q_heavy_hitters(sf_dir: str):
@@ -4493,8 +4494,8 @@ def oracle_sql() -> dict[str, str]:
             )
             SELECT doc_id, min(reach) AS component FROM walk GROUP BY doc_id
         """,
-        # dedup through the hash-JOIN anti-filter over exact-Jaccard
-        # pairs (dedup_by_pairs_join — the no-broadcast loser path)
+        # dedup through the anti hash_join over exact-Jaccard pairs
+        # (dedup_by_pairs)
         "dedup_jaccard": f"""
             {_ngram_pairs_cte(norm)}
             SELECT doc_id FROM documents

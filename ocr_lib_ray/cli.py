@@ -83,13 +83,6 @@ def main(argv=None) -> int:
         help="wipe a non-empty --output even without a prior-run marker",
     )
     td.add_argument(
-        "--dedup",
-        choices=["broadcast", "join"],
-        default="broadcast",
-        help="exact-dedup filter: broadcast dup-map (default; duplicates "
-        "≪ corpus) or bucketed hash-join anti-filter (dup-heavy corpora)",
-    )
-    td.add_argument(
         "--line-max-df",
         type=int,
         default=1,
@@ -435,7 +428,6 @@ def main(argv=None) -> int:
             pages,
             ExtractConfig(num_partitions=args.partitions),
             checkpoint_dir=args.checkpoint_dir,
-            dedup=args.dedup,
             line_max_df=args.line_max_df,
             overwrite=args.overwrite,
         ).write_parquet(args.output, partition_cols=["partition_id"])

@@ -13,7 +13,6 @@ from .clustering import (
 from .dedup import (
     connected_components,
     dedup_by_pairs,
-    dedup_by_pairs_join,
     dedup_connected,
     dedup_minhash_incremental,
     dup_cluster_sizes,
@@ -133,7 +132,6 @@ __all__ = [
     "chunk_documents",
     "pack_sequences",
     "dedup_by_pairs",
-    "dedup_by_pairs_join",
     "dedup_connected",
     "dedup_minhash_incremental",
     "dup_cluster_sizes",

@@ -34,7 +34,7 @@ import pandas as pd
 import pyarrow as pa
 
 from .bucket_tasks import exchange_map_groups
-from .joins import derive_num_partitions
+from .joins import derive_num_partitions, dim_lookup, dim_ref_adaptive, hash_join
 from .text_stats import normalize_expr
 
 _MERSENNE = (1 << 61) - 1
@@ -337,8 +337,8 @@ def minhash_lsh_pairs(
       carry only (band, band_hash, doc_id) — 16× less shuffle volume —
       candidates come out of the exchange unverified, and a second pass
       recomputes signatures ONLY for candidate docs (the candidate set
-      is tiny relative to the corpus; its id set is broadcast with
-      ``ray.put`` into a vectorized semi-filter).
+      is tiny relative to the corpus; its id set gates the docs through
+      the semi ``hash_join``, a map-side broadcast lookup while it fits).
     """
     hasher = MinHasher(num_perm=num_perm, shingle_n=shingle_n, seed=seed)
     if group_buckets is None:
@@ -387,17 +387,14 @@ def minhash_lsh_pairs(
         .to_pandas()
         .drop_duplicates(["d1", "d2"])
     )
+    import ray.data as rd
+
     cand_ids = pa.array(
         np.unique(cand_df[["d1", "d2"]].to_numpy(dtype=np.int64)), pa.int64()
     )
-    import pyarrow.compute as pc
-
-    sig_rows = docs_ds.map_batches(
-        lambda b: _signatures_for(
-            b.filter(pc.is_in(b.column("doc_id"), value_set=cand_ids)), hasher
-        ),
-        batch_format="pyarrow",
-    )
+    sig_rows = hash_join(
+        docs_ds, rd.from_arrow(pa.table({"doc_id": cand_ids})), "doc_id", how="semi"
+    ).map_batches(lambda b: _signatures_for(b, hasher), batch_format="pyarrow")
     sig_tab = pa.concat_tables(list(sig_rows.iter_batches(batch_format="pyarrow")))
     # a repeated doc_id keeps its LAST signature row
     sig_ids = sig_tab.column("doc_id").to_numpy()[::-1]
@@ -407,8 +404,6 @@ def minhash_lsh_pairs(
     ib = np.searchsorted(sig_ids, cand_df["d2"].to_numpy(dtype=np.int64))
     eqf = _equal_fraction(sigs, ia, ib)
     keep = eqf >= threshold
-    import ray.data as rd
-
     return rd.from_arrow(
         pa.Table.from_arrays(
             [
@@ -470,21 +465,15 @@ def dedup_connected(docs_ds, pairs_ds, id_col: str = "doc_id"):
     where the greedy pair-min policy could not see a–c.
 
     Pairs are collected (small by construction), components solved with
-    union-find, and the loser set broadcast into a vectorized filter.
+    union-find, and the losers dropped by the anti ``hash_join``.
     """
-    import pyarrow.compute as pc
-    import ray
+    import ray.data as rd
 
     pdf = pairs_ds.to_pandas()
     roots = union_find_components(pdf["d1"].tolist(), pdf["d2"].tolist())
     losers = sorted(x for x, r in roots.items() if r != x)
-    loser_ref = ray.put(pa.array(losers, pa.int64()))
-
-    def _keep(batch: pa.Table) -> pa.Table:
-        drop = ray.get(loser_ref)
-        return batch.filter(pc.invert(pc.is_in(batch.column(id_col), value_set=drop)))
-
-    return docs_ds.map_batches(_keep, batch_format="pyarrow")
+    loser_ds = rd.from_arrow(pa.table({id_col: pa.array(losers, pa.int64())}))
+    return hash_join(docs_ds, loser_ds, id_col, how="anti")
 
 
 def expand_components(pairs_ds, max_component: int = 100_000):
@@ -570,7 +559,7 @@ def connected_components(
     (vectorized splitmix64 for integer nodes, factorized crc32
     otherwise) — the
     same bucketed-groupby join discipline as
-    :func:`dedup_by_pairs_join`, NOT ``Dataset.join`` — so a
+    :func:`joins.hash_join`, NOT ``Dataset.join`` — so a
     groupby(bucket) ``map_groups`` can look up each edge source's label
     and send it to the peer, and (b) a second bucketed groupby takes
     the min candidate per node.  Two pair-set-sized shuffles per round,
@@ -775,70 +764,20 @@ def connected_components(
 
 
 def dedup_by_pairs(docs_ds, pairs_ds, id_col: str = "doc_id"):
-    """Remove every doc that has a smaller near-dup partner.
+    """Remove every doc that has a smaller near-dup partner: the anti
+    ``hash_join`` of the docs against the pairs' ``d2`` ids.
 
     Greedy min-keep policy (keeps each similarity component's smallest
-    id when the pair graph covers the component).  The loser set is tiny
-    relative to the corpus → broadcast it into a vectorized filter.
+    id when the pair graph covers the component).  The loser set is
+    usually tiny relative to the corpus and broadcasts into a map-side
+    filter; a dup-heavy corpus whose loser set outgrows the broadcast
+    bound takes the bucketed path, nothing collected — same survivors
+    (pinned by the fallback-equality tests); works for any id dtype.
     """
-    import pyarrow.compute as pc
-    import ray
-
-    losers = pairs_ds.select_columns(["d2"]).unique("d2")
-    loser_ref = ray.put(pa.array(sorted(losers), pa.int64()))
-
-    def _keep(batch: pa.Table) -> pa.Table:
-        drop = ray.get(loser_ref)
-        return batch.filter(pc.invert(pc.is_in(batch.column(id_col), value_set=drop)))
-
-    return docs_ds.map_batches(_keep, batch_format="pyarrow")
-
-
-def dedup_by_pairs_join(docs_ds, pairs_ds, id_col: str = "doc_id", num_partitions: int | None = None):
-    """Scale variant of :func:`dedup_by_pairs`: bucketed anti-filter.
-
-    The broadcast path ships the loser id set to every task — ideal
-    while losers ≪ corpus, impossible when a dup-heavy corpus makes the
-    loser set itself corpus-sized.  This variant never collects: losers
-    stay a Dataset and the filter is an explicit same-bucket
-    hash-partition anti-join — both sides tagged ``crc32(id) %
-    num_partitions``, one union + groupby(bucket), in-group vectorized
-    ``isin`` drop (bounded per-task memory at any loser-set size, at
-    the cost of one all-to-all on the doc rows).  Deliberately NOT
-    ``Dataset.join``: in Ray 2.49 a join whose output feeds another
-    hash shuffle (e.g. the pack_sequences groupby downstream in
-    build_training_data) silently emits zero rows.  Size
-    ``num_partitions`` ≈ corpus_bytes / 512 MB.  Output rows/columns
-    equal the broadcast path (tested); works for any id dtype.
-    """
-    if num_partitions is None:
-        from .joins import derive_num_partitions
-
-        num_partitions = derive_num_partitions(docs_ds, floor=32)
-    import pandas as pd
-
-    from .joins import _union_bucketed
-
     losers = pairs_ds.select_columns(["d2"]).map_batches(
         lambda b: b.rename_columns([id_col]), batch_format="pyarrow"
     )
-    # materialize the ids-only loser set (object-store resident, spills)
-    # so emptiness is a metadata check — empty losers = no shuffle at
-    # all — and the union below re-reads blocks instead of re-executing
-    # the (possibly expensive) pair lineage.
-    losers = losers.materialize()
-    if losers.count() == 0:
-        return docs_ds
-    union, doc_cols = _union_bucketed(docs_ds, losers, id_col, num_partitions)
-
-    def anti(g: pd.DataFrame) -> pd.DataFrame:
-        left = g[g["side"] == 0]
-        drop = g.loc[g["side"] == 1, id_col]
-        return left.loc[~left[id_col].isin(set(drop)), doc_cols]
-
-    from .joins import run_bucket_groups
-
-    return run_bucket_groups(union, num_partitions, anti)
+    return hash_join(docs_ds, losers, id_col, how="anti")
 
 
 # --- incremental (crawl-over-crawl) dedup ----------------------------------
@@ -867,7 +806,6 @@ def dedup_against_reference(
     ref_fps_ds,
     id_col: str = "doc_id",
     text_col: str = "text",
-    mode: str = "join",
     num_partitions: int | None = None,
 ):
     """Incremental dedup: drop documents whose content fingerprint
@@ -878,82 +816,32 @@ def dedup_against_reference(
     ``ref_fps_ds``: Dataset with a ``fingerprint`` column (md5 hex of
     normalized text — :func:`doc_fingerprints` of the prior corpus).
 
-    ``mode``:
-
-    * ``"join"`` (default — the 100 TB path, because the reference set
-      is BY DEFINITION corpus-sized): nothing is collected; both sides
-      tag ``crc32(fp) % num_partitions`` and one same-bucket groupby
-      drops new docs whose fp appears on the reference side (the
-      dedup_by_pairs_join pattern keyed on the fingerprint).
-    * ``"broadcast"``: the reference fp set ships once via ``ray.put``
-      into a vectorized filter — for genuinely small reference sets
-      (a blocklist, a eval-contamination set), NOT a prior crawl.
+    The filter is the anti ``hash_join`` keyed on the fingerprint: a
+    small reference set (a blocklist, an eval-contamination set)
+    broadcasts into a map-side filter; a prior crawl — corpus-sized by
+    definition — runs bucketed, nothing collected.
 
     Output: the surviving rows of ``docs_ds``, all columns intact.
     Within the NEW corpus nothing is deduped (compose with
     :func:`dedup_exact`-style passes for that); two new docs sharing a
     fingerprint either both survive or both drop.
     """
-    if num_partitions is None:
-        from .joins import derive_num_partitions
-
-        num_partitions = derive_num_partitions(docs_ds, floor=32)
-    import pandas as pd
-
-    import ray
-
-    from .joins import _union_bucketed
 
     def with_fp(b: pa.Table) -> pa.Table:
         norm = normalize_expr(b.column(text_col)).to_pylist()
         fps = [hashlib.md5((t or "").encode("utf-8")).hexdigest() for t in norm]
         return b.append_column("_fp", pa.array(fps, pa.string()))
 
-    tagged = docs_ds.map_batches(with_fp, batch_format="pyarrow")
-
-    if mode == "broadcast":
-        import pyarrow.compute as pc
-
-        ref = pa.array(
-            sorted(set(ref_fps_ds.unique("fingerprint") or [])), pa.string()
-        )
-        ref_handle = ray.put(ref)
-
-        def drop_seen(b: pa.Table) -> pa.Table:
-            seen = ray.get(ref_handle)
-            # vectorized set membership; null fp (impossible here — fps
-            # are computed hexdigests) would keep, matching `not in set`
-            keep = pc.fill_null(
-                pc.invert(pc.is_in(b.column("_fp"), value_set=seen)), True
-            )
-            return b.filter(keep).drop_columns(["_fp"])
-
-        return tagged.map_batches(drop_seen, batch_format="pyarrow")
-    if mode != "join":
-        raise ValueError(f"mode must be 'join' or 'broadcast', got {mode!r}")
-
     ref = ref_fps_ds.select_columns(["fingerprint"]).map_batches(
         lambda b: b.rename_columns(["_fp"]), batch_format="pyarrow"
     )
-    # materialize the fps-only reference (object store, spills): executed
-    # once, emptiness becomes a metadata check (an empty reference has no
-    # schema and would break the union), and the shuffle re-reads blocks
-    # instead of re-running the reference lineage.
-    ref = ref.materialize()
-    if ref.count() == 0:
-        return docs_ds
-    doc_cols = list(docs_ds.schema().names) + ["_fp"]
-    union, _cols = _union_bucketed(tagged, ref, "_fp", num_partitions)
-
-    def anti(g: pd.DataFrame) -> pd.DataFrame:
-        left = g[g["side"] == 0]
-        seen = set(g.loc[g["side"] == 1, "_fp"])
-        out = left.loc[~left["_fp"].isin(seen), doc_cols]
-        return out.drop(columns=["_fp"])
-
-    from .joins import run_bucket_groups
-
-    return run_bucket_groups(union, num_partitions, anti)
+    return hash_join(
+        docs_ds.map_batches(with_fp, batch_format="pyarrow"),
+        ref,
+        "_fp",
+        how="anti",
+        num_partitions=num_partitions,
+    ).drop_columns(["_fp"])
 
 
 def dedup_minhash_incremental(
@@ -964,7 +852,6 @@ def dedup_minhash_incremental(
     group_buckets: int | None = None,
     id_col: str = "doc_id",
     text_col: str = "text",
-    mode: str = "join",
     num_partitions: int | None = None,
     approx_rows: int | None = None,
 ):
@@ -986,11 +873,9 @@ def dedup_minhash_incremental(
     bit-identical).  New×new and ref×ref collisions are ignored — dedup
     WITHIN the new crawl is a separate op by design.
 
-    The loser anti-filter follows the dedup_against_reference split:
-    ``mode="join"`` (default — on a dup-heavy crawl the loser set is
-    corpus-scale) bucket-anti-joins with nothing collected;
-    ``mode="broadcast"`` ships the loser id set once via ``ray.put``
-    for corpora where near-dups vs the prior crawl are known-rare.
+    The losers drop through the anti ``hash_join``: broadcast while
+    near-dups vs the prior crawl are rare, bucketed with nothing
+    collected once the loser set is corpus-scale (a dup-heavy crawl).
 
     ``approx_rows``: combined new+ref row estimate for bucket sizing.
     Leave None only when both sides expose metadata row counts (plain
@@ -1000,17 +885,7 @@ def dedup_minhash_incremental(
     ``minhash_lsh_pairs(approx_rows=...)``).
     """
     if num_partitions is None:
-        from .joins import derive_num_partitions
-
         num_partitions = derive_num_partitions(new_ds, floor=32)
-    import pandas as pd
-
-    import ray
-
-    from .joins import _union_bucketed
-
-    if mode not in ("join", "broadcast"):
-        raise ValueError(f"mode must be 'join' or 'broadcast', got {mode!r}")
     hasher = MinHasher()
     if group_buckets is None:
         if approx_rows is None:
@@ -1078,39 +953,8 @@ def dedup_minhash_incremental(
         losers_fn,
         num_partitions,
         batch_format="pandas",
-    ).materialize()  # ids-only; emptiness becomes a metadata check
-    if losers.count() == 0:
-        return new_ds
-    if mode == "broadcast":
-        import pyarrow.compute as pc
-
-        chunks = [
-            b.column(id_col).combine_chunks()
-            for b in losers.iter_batches(batch_format="pyarrow")
-        ]
-        ids = pc.unique(pa.concat_arrays(chunks))
-        handle = ray.put(ids)
-
-        def drop(b: pa.Table) -> pa.Table:
-            bad = ray.get(handle)
-            # vectorized set membership (null id would keep, matching
-            # `not in set`; loser ids come from non-null doc_id rows)
-            keep = pc.fill_null(
-                pc.invert(pc.is_in(b.column(id_col), value_set=bad)), True
-            )
-            return b.filter(keep)
-
-        return new_ds.map_batches(drop, batch_format="pyarrow")
-    union, doc_cols = _union_bucketed(new_ds, losers, id_col, num_partitions)
-
-    def anti(g: pd.DataFrame) -> pd.DataFrame:
-        left = g[g["side"] == 0]
-        drop = set(g.loc[g["side"] == 1, id_col])
-        return left.loc[~left[id_col].isin(drop), doc_cols]
-
-    from .joins import run_bucket_groups
-
-    return run_bucket_groups(union, num_partitions, anti)
+    )
+    return hash_join(new_ds, losers, id_col, how="anti", num_partitions=num_partitions)
 
 
 # --- simhash ---------------------------------------------------------------
@@ -1466,8 +1310,6 @@ def dedup_fuzzy_keep_best(
     id_col: str = "doc_id",
     quality_col: str = "n_chars",
     threshold: float = 0.5,
-    mode: str = "broadcast",
-    max_broadcast: int = 50_000_000,
 ):
     """NEAR-dup dedup keeping each duplicate cluster's QUALITY winner
     (max ``quality_col``, ties -> min id) instead of the min-id winner —
@@ -1476,101 +1318,71 @@ def dedup_fuzzy_keep_best(
 
     Composition of existing scale paths: :func:`minhash_lsh_pairs`
     (spanning candidate set) -> :func:`connected_components`
-    (distributed min-label propagation), then the winner pass in one of
-    two modes:
+    (distributed min-label propagation), then the winner pass, picked
+    from the label set's size (:func:`joins.dim_ref_adaptive`):
 
-    * ``mode="broadcast"`` (default): the (id, component) labels — the
-      DUP SUBSET, not the corpus — are collected and ``ray.put`` once
-      (guarded by ``max_broadcast``); unlabeled docs survive map-only,
-      and only labeled docs pay the keep_latest shuffle.  The expensive
-      stages scale with the duplicate count, the repo's winner-broadcast
-      discipline (pipelines/corpus.py).
-    * ``mode="join"``: nothing driver-collected — bucketed
-      ``hash_join`` how="left" back onto (id, quality) + corpus-wide
-      ``keep_latest`` (quality round-trips float64 through the left
-      join, so qualities must stay < 2^53).  Use when the dup subset
-      itself is corpus-scale (40%+ dup crawls).
+    * labels fit the broadcast bound (they are the DUP SUBSET, not the
+      corpus): they broadcast once; unlabeled docs survive map-only,
+      and the winners are a driver reduce over per-block partials —
+      the expensive stages scale with the duplicate count.
+    * past the bound (the dup subset itself is corpus-scale, 40%+ dup
+      crawls): nothing driver-collected — bucketed ``hash_join``
+      how="left" back onto (id, quality) + corpus-wide ``keep_latest``
+      (quality round-trips float64 through the left join, so
+      qualities must stay < 2^53).
 
-    Returns survivors as one ``id_col`` column.
+    Both give the same survivors.  Returns them as one ``id_col``
+    column.
     """
     import ray
 
     import pyarrow.compute as pc
 
-    from .joins import hash_join
     from .versions import keep_latest
 
-    # materialize the (id, component) state: downstream schema probes
-    # would otherwise re-execute the whole minhash+CC lineage
     pairs = minhash_lsh_pairs(docs_ds, threshold=threshold)
-    comps = connected_components(pairs, node_col=id_col).materialize()
+    ref, comps = dim_ref_adaptive(
+        connected_components(pairs, node_col=id_col), id_col, ["component"]
+    )
 
-    if mode == "broadcast":
-        if comps.count() > max_broadcast:
-            raise ValueError(
-                f"dup-cluster labels ({comps.count()} rows) exceed "
-                f"max_broadcast={max_broadcast}; rerun with mode='join'"
-            )
-        import numpy as np
-
-        lab_tbls = list(comps.iter_batches(batch_format="pyarrow"))
-        lk = np.concatenate(
-            [
-                np.asarray(t.column(id_col).to_numpy(zero_copy_only=False), np.int64)
-                for t in lab_tbls
-            ]
-        )
-        lc = np.concatenate(
-            [
-                np.asarray(
-                    t.column("component").to_numpy(zero_copy_only=False), np.int64
-                )
-                for t in lab_tbls
-            ]
-        )
-        o = np.argsort(lk, kind="stable")
-        ref = ray.put((lk[o], lc[o]))
+    if ref is not None:
 
         def _stamp(b: pa.Table):
-            ks, cs = ray.get(ref)
+            """(matched mask, ids, components) of the batch's labeled rows."""
+            dim = ray.get(ref)
             ids = np.asarray(
                 b.column(id_col).to_numpy(zero_copy_only=False), np.int64
             )
-            pos = np.searchsorted(ks, ids).clip(max=max(len(ks) - 1, 0))
-            matched = (ks[pos] == ids) if len(ks) else np.zeros(len(ids), bool)
-            return ids, cs[pos], matched
+            matched, pos = dim_lookup(ids, dim)
+            comp = dim[1]["component"].take(pa.array(pos[matched]))
+            comp = np.asarray(comp.to_numpy(zero_copy_only=False), np.int64)
+            return matched, ids[matched], comp
 
         def singles(b: pa.Table) -> pa.Table:
-            _, _, matched = _stamp(b)
+            matched, _, _ = _stamp(b)
             return b.filter(pa.array(~matched)).select([id_col])
 
         def winner_partials(b: pa.Table) -> pa.Table:
             """Per-block best (q desc, id asc) per component — the
             global winner reduce is then DRIVER-SIDE over <= |labels|
-            partial rows (the bounded-final driver-reduce rule): the
-            old per-cluster keep_latest exchange paid a full all-to-all
-            of fixed latency to pick winners among rows whose label set
-            was ALREADY collected on the driver by this very mode."""
-            ids, comp, matched = _stamp(b)
-            if not matched.any():
-                return pa.Table.from_arrays(
-                    [
-                        pa.array([], pa.int64()),
-                        pa.array([], pa.int64()),
-                        pa.array([], b.schema.field(quality_col).type),
-                    ],
-                    names=[id_col, "component", "q"],
-                )
+            partial rows (the bounded-final driver-reduce rule): a
+            per-cluster keep_latest exchange would pay a full
+            all-to-all of fixed latency to pick winners among rows
+            whose label set is already broadcast."""
+            matched, ids, comp = _stamp(b)
             q = np.asarray(
                 b.column(quality_col).to_numpy(zero_copy_only=False)
             )[matched]
-            ids, comp = ids[matched], comp[matched]
             # best per component: sort (component asc, q desc, id asc)
             o = np.lexsort((ids, -q, comp))
             comp, ids, q = comp[o], ids[o], q[o]
-            first = np.concatenate([[True], comp[1:] != comp[:-1]])
+            first = np.concatenate([[True], comp[1:] != comp[:-1]])[: len(comp)]
             return pa.Table.from_arrays(
-                [pa.array(ids[first]), pa.array(comp[first]), pa.array(q[first])],
+                [
+                    pa.array(ids[first], pa.int64()),
+                    pa.array(comp[first], pa.int64()),
+                    pa.array(q[first], b.schema.field(quality_col).type),
+                ],
                 names=[id_col, "component", "q"],
             )
 
@@ -1581,8 +1393,6 @@ def dedup_fuzzy_keep_best(
             winner_partials, batch_format="pyarrow", zero_copy_batch=True
         ).take_all()
         if parts:
-            import pandas as pd
-
             pdf = pd.DataFrame(parts).sort_values(
                 ["q", id_col], ascending=[False, True], kind="stable"
             )
@@ -1597,9 +1407,6 @@ def dedup_fuzzy_keep_best(
         import ray.data as rd
 
         return single_ids.union(rd.from_arrow(winner_tbl))
-
-    if mode != "join":
-        raise ValueError(f"mode must be 'broadcast' or 'join', got {mode!r}")
 
     labeled = hash_join(
         docs_ds.map_batches(
@@ -1633,9 +1440,7 @@ def dedup_fuzzy_keep_best(
     )
 
 
-def dup_cluster_sizes(
-    docs_ds, pairs_ds, id_col: str = "doc_id", max_broadcast: int = 5_000_000
-):
+def dup_cluster_sizes(docs_ds, pairs_ds, id_col: str = "doc_id"):
     """Near-duplicate CLUSTER SIZE distribution — the dedup-tuning
     dashboard number (how much of the corpus sits in 2-clusters vs
     giant cliques decides band/threshold settings and predicts dedup
@@ -1644,82 +1449,45 @@ def dup_cluster_sizes(
     singleton cluster.
 
     Scale shape: distributed CC over the pair set (bucketed min-label
-    propagation — the repo's connected_components), then one bucketed
-    LEFT hash join stamps components onto the id stream (singletons
-    coalesce to their own id), a per-block partial count per
-    component, a #components-scale groupby, a per-block size-histogram
-    partial and a ≤ max-cluster-size-sized final groupby.  Nothing is
-    driver-collected.
+    propagation — the repo's connected_components), then the labels
+    are stamped onto the id stream, picked from the label set's size
+    (:func:`joins.dim_ref_adaptive`):
 
-    ADAPTIVE (round 5): when the CC label set fits ``max_broadcast``
-    (it is the DUP SUBSET, not the corpus), the labels broadcast into
-    a map-only stamp instead of the left-join exchange, and — because
-    a singleton's "component" appears in exactly one block and a real
-    component's partial rows are bounded by |labels| + blocks — the
-    histogram finishes as a DRIVER reduce over tiny partials (the
-    bounded-final driver-reduce rule): zero post-scan exchanges.  Dup-
-    heavy corpora whose label set outgrows the cap keep the join path.
+    * labels fit the broadcast bound (they are the DUP SUBSET, not the
+      corpus): they broadcast into a map-only stamp, and — because a
+      singleton appears in exactly one block and a real component's
+      partial rows are bounded by |labels| + blocks — the histogram
+      finishes as a DRIVER reduce over tiny partials (the
+      bounded-final driver-reduce rule): zero post-scan exchanges.
+    * past the bound: one bucketed LEFT hash join stamps components
+      (singletons coalesce to their own id), a per-block partial count
+      per component, a #components-scale groupby, a per-block
+      size-histogram partial and a ≤ max-cluster-size-sized final
+      groupby.  Nothing is driver-collected.
     """
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
-    from .joins import hash_join
-
-    from ..schema_utils import pa_col_type
-
-    cc = connected_components(pairs_ds, node_col=id_col).materialize()
-    cc_rows = cc.count()
-    id_is_int = pa.types.is_integer(pa_col_type(cc, id_col))
-    if id_is_int and cc_rows <= max_broadcast:
-        import numpy as np
-
+    ref, cc = dim_ref_adaptive(
+        connected_components(pairs_ds, node_col=id_col), id_col, ["component"]
+    )
+    if ref is not None:
         import ray
         import ray.data as rd
 
-        lab_tbls = list(cc.iter_batches(batch_format="pyarrow"))
-        if lab_tbls:
-            lk = np.concatenate(
-                [
-                    np.asarray(
-                        t.column(id_col).to_numpy(zero_copy_only=False), np.int64
-                    )
-                    for t in lab_tbls
-                ]
-            )
-            lc = np.concatenate(
-                [
-                    np.asarray(
-                        t.column("component").to_numpy(zero_copy_only=False),
-                        np.int64,
-                    )
-                    for t in lab_tbls
-                ]
-            )
-        else:
-            lk = lc = np.zeros(0, dtype=np.int64)
-        o = np.argsort(lk, kind="stable")
-        ref = ray.put((lk[o], lc[o]))
-
         def stamp_partials(b: pa.Table) -> pa.Table:
             """Per-block (component, n) counts for MATCHED ids plus one
-            (-1, n_misses) singleton-count row (doc ids are non-negative
-            by the repo id contract, so -1 cannot collide)."""
-            ks, cs = ray.get(ref)
-            ids_np = np.asarray(
-                b.column(id_col).to_numpy(zero_copy_only=False), np.int64
-            )
-            if len(ks):
-                pos = np.searchsorted(ks, ids_np).clip(max=len(ks) - 1)
-                matched = ks[pos] == ids_np
-            else:
-                matched = np.zeros(len(ids_np), bool)
-            comp = cs[pos][matched] if len(ks) else np.zeros(0, np.int64)
-            u, n = np.unique(comp, return_counts=True)
-            miss = int((~matched).sum())
+            (null, n_misses) singleton-count row."""
+            dim = ray.get(ref)
+            ids = np.asarray(b.column(id_col).to_numpy(zero_copy_only=False))
+            matched, pos = dim_lookup(ids, dim)
+            vc = pc.value_counts(dim[1]["component"].take(pa.array(pos[matched])))
+            comp, n = vc.field("values"), vc.field("counts")
+            miss = pa.array([int((~matched).sum())], n.type)
             return pa.Table.from_arrays(
                 [
-                    pa.array(np.concatenate([u, [-1]]).astype(np.int64)),
-                    pa.array(np.concatenate([n, [miss]]).astype(np.int64)),
+                    pa.concat_arrays([comp, pa.nulls(1, comp.type)]),
+                    pa.concat_arrays([n, miss]),
                 ],
                 names=["component", "n"],
             )
@@ -1732,7 +1500,7 @@ def dup_cluster_sizes(
         comp_sum: dict = {}
         singletons = 0
         for row in parts:
-            if row["component"] == -1:
+            if row["component"] is None:
                 singletons += row["n"]
             else:
                 comp_sum[row["component"]] = comp_sum.get(row["component"], 0) + row["n"]

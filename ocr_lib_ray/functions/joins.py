@@ -157,6 +157,94 @@ def zero_fill(n: int, t: pa.DataType) -> pa.Array:
     return pa.nulls(n, t)
 
 
+# --------------------------------------------------------------------------
+# broadcast key lookup (the small side of a join, shipped once)
+# --------------------------------------------------------------------------
+
+
+def make_dim_ref(dim: pa.Table, key_col: str, value_cols: list):
+    """``ray.put`` a small dimension once: (sorted keys, aligned value
+    columns).  The object-store ref is fetched zero-copy per task —
+    the dimension is shipped to each NODE once, not per batch."""
+    import ray
+
+    keys = np.asarray(dim.column(key_col).to_numpy(zero_copy_only=False))
+    order = np.argsort(keys, kind="stable")
+    idx = pa.array(order)
+    vals = {c: dim.column(c).take(idx).combine_chunks() for c in value_cols}
+    return ray.put((keys[order], vals))
+
+
+def dim_lookup(batch_keys: np.ndarray, dim):
+    """Vectorized lookup of ``batch_keys`` in a ``make_dim_ref`` payload
+    → (match_mask, positions).  Unmatched keys get mask=False."""
+    keys, _ = dim
+    if len(keys) == 0:  # empty dimension: nothing matches
+        return np.zeros(len(batch_keys), dtype=bool), np.zeros(
+            len(batch_keys), dtype=np.int64
+        )
+    pos = np.searchsorted(keys, batch_keys)
+    pos_c = np.clip(pos, 0, len(keys) - 1)
+    mask = keys[pos_c] == batch_keys
+    return mask, pos_c
+
+
+#: ADAPTIVE broadcast bound for corpus-SCALED sides that are usually
+#: small after their prep filter (a part type's keys, one nation's
+#: suppliers, a dedup loser set).  At or below this many rows the
+#: prepped side broadcasts once (``make_dim_ref``) and the gate/enrich
+#: is map-side; past it the bucketed hash join runs — exact same
+#: output either way (pinned by the fallback-equality tests, which
+#: set this to 0).
+DIM_BROADCAST_MAX = 5_000_000
+
+
+def dim_ref_adaptive(ds, key_col: str, value_cols: list):
+    """Materialize a PREPPED side (already filtered/projected — cheap,
+    dim-table-sized) and broadcast it when it fits: returns
+    ``(dim_ref_or_None, materialized_ds)``.  The materialized handle is
+    returned so the fallback join re-reads blocks instead of
+    re-executing the prep.  Cost when it does NOT fit: the one
+    materialize the fallback join wants anyway."""
+    mat = ds.materialize()
+    n = mat.count()
+    if n == 0:
+        if not value_cols:
+            # an empty key set broadcasts as itself: every lookup misses
+            empty = pa.table({key_col: pa.array([], pa.int64())})
+            return make_dim_ref(empty, key_col, []), mat
+        # empty enrich sides take the join path with the ORIGINAL lazy
+        # handle: it still carries an inferable schema (a zero-row
+        # materialized dataset reports schema=Unknown and would break
+        # the bucketed union), and the join produces TYPED empties
+        return None, ds
+    if n > DIM_BROADCAST_MAX:
+        return None, mat
+    # build the table from the dataset's own Arrow blocks (typed)
+    tbl = pa.concat_tables(
+        list(mat.iter_batches(batch_format="pyarrow"))
+    ).select([key_col] + list(value_cols))
+    return make_dim_ref(tbl, key_col, list(value_cols)), mat
+
+
+def _key_filter(ref, key_col: str, how: str):
+    """Map-side semi/anti batch filter against a broadcast key set."""
+    import ray
+
+    def keep(b: pa.Table) -> pa.Table:
+        col = b.column(key_col)
+        valid = np.asarray(pc.is_valid(col).to_numpy(zero_copy_only=False))
+        if col.null_count:
+            col = col.fill_null(zero_fill(1, col.type)[0])
+        keys = np.asarray(col.to_numpy(zero_copy_only=False))
+        # EXISTS: a null left key matches nothing (semi drops it, anti
+        # keeps it)
+        hit = dim_lookup(keys, ray.get(ref))[0] & valid
+        return b.filter(pa.array(hit if how == "semi" else ~hit))
+
+    return keep
+
+
 def _key_buckets(batch: pa.Table, key_cols: list, num_partitions: int) -> np.ndarray:
     """Bucket per row for a one- or many-column key: each column through
     :func:`bucket_col`, a composite key's buckets combined pairwise."""
@@ -457,22 +545,25 @@ def hash_join(
     where one right-side null empties the result): output is the left
     rows and columns unchanged — never multiplied, no joined columns,
     so ``right_value_cols`` must be empty.  Only the right KEY column
-    ships through the shuffle, deduped per batch first (shuffle bytes
-    bounded by distinct keys per block, not right-side rows).
-    ``anti`` is the dedup/decontamination filter shape (see
-    dedup_by_pairs_join, dedup_against_reference for the specialized
-    forms).
+    is read, deduped per batch first.  The path is chosen from its
+    size: a single-column key set is materialized and, when it fits
+    ``DIM_BROADCAST_MAX`` (:func:`dim_ref_adaptive`), broadcast once
+    into a map-side lookup — no shuffle at all; past the bound, and
+    for every composite key, the keys ship through the bucketed
+    exchange below (shuffle bytes bounded by distinct keys per block,
+    not right-side rows).  Both paths give the same output set.
+    ``anti`` is the dedup/decontamination filter shape (every dedup
+    loser filter — dedup_by_pairs, dedup_against_reference,
+    dedup_minhash_incremental — is this call).
 
     Deliberately NOT ``Dataset.join``: in Ray 2.49 a join whose output
-    feeds another hash shuffle silently emits zero rows (see
-    dedup_by_pairs_join).  Same-bucket hash-partition discipline
-    instead: both sides tagged ``bucket_col(key, num_partitions)``,
-    one union + bucket exchange, in-group vectorized ``pd.merge`` — per-
-    task memory is bounded by the bucket, works for any key dtype, and
-    the output is safe to shuffle again.  Size ``num_partitions`` ≈
-    total_bytes / 512 MB.  For a SMALL right side prefer a ``ray.put``
-    broadcast + map-side lookup (no shuffle at all) — this operator is
-    for right sides too big to broadcast.
+    feeds another hash shuffle silently emits zero rows (e.g. the
+    pack_sequences groupby downstream of build_training_data's dedup).
+    Same-bucket hash-partition discipline instead: both sides tagged
+    ``bucket_col(key, num_partitions)``, one union + bucket exchange,
+    in-group vectorized ``pd.merge`` — per-task memory is bounded by
+    the bucket, works for any key dtype, and the output is safe to
+    shuffle again.  Size ``num_partitions`` ≈ total_bytes / 512 MB.
 
     ``replicate_keys`` (skew salting): a set of HOT join keys (tuples
     for composite keys) whose left rows would otherwise all land in
@@ -482,8 +573,9 @@ def hash_join(
     rows| × num_partitions extra shuffle rows — use for keys whose
     RIGHT side is small but LEFT side is huge (the fact⋈dim skew).
     Only inner/left/semi/anti (outer modes would emit replicated right
-    rows once per bucket — rejected loudly).  Finding the hot keys is
-    the caller's job (a heavy_hitters pass, or domain knowledge).
+    rows once per bucket — rejected loudly; a broadcast semi/anti
+    filter has no shuffle to salt).  Finding the hot keys is the
+    caller's job (a heavy_hitters pass, or domain knowledge).
 
     ``left_group_agg`` (exchange fusion): pandas named-agg spec
     ``{out_col: (in_col, how)}`` applied to the LEFT side per key
@@ -526,6 +618,35 @@ def hash_join(
             )
     right_value_cols = list(right_value_cols or [])
     key_cols = _key_list(key_col)
+    if how in ("semi", "anti"):
+        if right_value_cols:
+            raise ValueError(
+                f"how={how!r} emits left columns only — right_value_cols "
+                f"{right_value_cols} would be silently dropped; pass none"
+            )
+
+        def distinct_keys(b: pa.Table) -> pa.Table:
+            # per-batch combiner: nulls never match under EXISTS, drop
+            # them here; dedup so the shuffle carries distinct keys
+            valid = pc.is_valid(b.column(key_cols[0]))
+            for c in key_cols[1:]:
+                valid = pc.and_(valid, pc.is_valid(b.column(c)))
+            t = b.filter(valid)
+            return t.group_by(key_cols).aggregate([])
+
+        right = right_ds.select_columns(key_cols)
+        if len(key_cols) == 1:
+            # decided before any left-side schema probe: the broadcast
+            # filter is one map over the left rows, nothing else
+            ref, right = dim_ref_adaptive(
+                right.map_batches(distinct_keys, batch_format="pyarrow"),
+                key_cols[0],
+                [],
+            )
+            if ref is not None:
+                return left_ds.map_batches(
+                    _key_filter(ref, key_cols[0], how), batch_format="pyarrow"
+                )
     if left_ds.schema() is None:
         # a filtered-to-empty lazy left side can be schema-less even
         # after materialize (Ray's aggregate emits zero blocks); the
@@ -540,21 +661,6 @@ def hash_join(
                 "anchor the left schema (e.g. emit typed empty tables) first"
             )
     if how in ("semi", "anti"):
-        if right_value_cols:
-            raise ValueError(
-                f"how={how!r} emits left columns only — right_value_cols "
-                f"{right_value_cols} would be silently dropped; pass none"
-            )
-        def distinct_keys(b: pa.Table) -> pa.Table:
-            # per-batch combiner: nulls never match under EXISTS, drop
-            # them here; dedup so the shuffle carries distinct keys
-            valid = pc.is_valid(b.column(key_cols[0]))
-            for c in key_cols[1:]:
-                valid = pc.and_(valid, pc.is_valid(b.column(c)))
-            t = b.filter(valid)
-            return t.group_by(key_cols).aggregate([])
-
-        right = right_ds.select_columns(key_cols)
         union, left_cols = _union_bucketed(
             left_ds,
             right,

@@ -52,7 +52,7 @@ import pyarrow.compute as pc
 from ray.data.aggregate import Sum
 
 from .bucket_tasks import exchange_map_groups
-from .joins import hash_join
+from .joins import dim_lookup, dim_ref_adaptive, hash_join, make_dim_ref
 
 
 def cents(col) -> pa.ChunkedArray:
@@ -68,68 +68,6 @@ def pct(col) -> pa.ChunkedArray:
 # --------------------------------------------------------------------------
 # broadcast dimension lookup (the star-join small side)
 # --------------------------------------------------------------------------
-
-
-def make_dim_ref(dim: pa.Table, key_col: str, value_cols: list):
-    """``ray.put`` a small dimension once: (sorted keys, aligned value
-    columns).  The object-store ref is fetched zero-copy per task —
-    the dimension is shipped to each NODE once, not per batch."""
-    import ray
-
-    keys = np.asarray(dim.column(key_col).to_numpy(zero_copy_only=False))
-    order = np.argsort(keys, kind="stable")
-    idx = pa.array(order)
-    vals = {c: dim.column(c).take(idx).combine_chunks() for c in value_cols}
-    return ray.put((keys[order], vals))
-
-
-def dim_lookup(batch_keys: np.ndarray, dim):
-    """Vectorized lookup of ``batch_keys`` in a ``make_dim_ref`` payload
-    → (match_mask, positions).  Unmatched keys get mask=False."""
-    keys, _ = dim
-    if len(keys) == 0:  # empty dimension: nothing matches
-        return np.zeros(len(batch_keys), dtype=bool), np.zeros(
-            len(batch_keys), dtype=np.int64
-        )
-    pos = np.searchsorted(keys, batch_keys)
-    pos_c = np.clip(pos, 0, len(keys) - 1)
-    mask = keys[pos_c] == batch_keys
-    return mask, pos_c
-
-
-#: ADAPTIVE broadcast bound for corpus-SCALED sides that are usually
-#: small after their prep filter (a part type's keys, one nation's
-#: suppliers, a region's customers).  At or below this many rows the
-#: prepped side broadcasts once (``make_dim_ref``) and the gate/enrich
-#: is map-side; past it the caller's bucketed hash join runs — exact
-#: same output either way (pinned by the fallback-equality tests).
-DIM_BROADCAST_MAX = 5_000_000
-
-
-def dim_ref_adaptive(ds, key_col: str, value_cols: list, max_rows: int | None = None):
-    """Materialize a PREPPED side (already filtered/projected — cheap,
-    dim-table-sized) and broadcast it when it fits: returns
-    ``(dim_ref_or_None, materialized_ds)``.  The materialized handle is
-    returned so the fallback join re-reads blocks instead of
-    re-executing the prep.  Cost when it does NOT fit: the one
-    materialize the fallback join wants anyway."""
-    if max_rows is None:
-        max_rows = DIM_BROADCAST_MAX
-    mat = ds.materialize()
-    n = mat.count()
-    if n == 0:
-        # empty sides take the join path with the ORIGINAL lazy handle:
-        # it still carries an inferable schema (a zero-row materialized
-        # dataset reports schema=Unknown and would break the bucketed
-        # union), and the join already produces correctly-TYPED empties
-        return None, ds
-    if n > max_rows:
-        return None, mat
-    # build the table from the dataset's own Arrow blocks (typed)
-    tbl = pa.concat_tables(
-        list(mat.iter_batches(batch_format="pyarrow"))
-    ).select([key_col] + list(value_cols))
-    return make_dim_ref(tbl, key_col, list(value_cols)), mat
 
 
 def broadcast_dim_join(ds, dim_ref, fact_key: str, value_cols: list, how: str = "inner"):
@@ -602,9 +540,9 @@ def ship_priority(
 
     Scale shape: lineitem — the dominant table — is filtered AND
     pre-aggregated to one (orderkey, rev) row per block before its
-    join; the segment gate broadcasts the deduped segment custkeys
-    when they fit ``DIM_BROADCAST_MAX`` (map-side is-in mask) and
-    falls back to a SEMI join past the bound; global top-k
+    join; the segment gate is a SEMI ``hash_join``, which broadcasts
+    the segment custkeys when they fit ``DIM_BROADCAST_MAX`` (map-side
+    lookup) and runs bucketed past the bound; global top-k
     is per-block prune → DRIVER merge of the ≤ k × #blocks pruned
     rows (round 5: the old repartition(1) paid an all-to-all barrier
     for the same merge).  Output: pandas (orderkey, o_date_us,
@@ -632,17 +570,12 @@ def ship_priority(
         )
 
     orders = orders_ds.map_batches(orders_prep, batch_format="pyarrow")
-    # segment gate is adaptive: the deduped segment custkeys broadcast
-    # when they fit DIM_BROADCAST_MAX (map-side is-in mask — no custkey
-    # exchange at all), else the bucketed SEMI join runs (fallback-
-    # equality pinned in test_relational.py)
-    seg_ref, seg_mat = dim_ref_adaptive(seg, "custkey", [])
-    if seg_ref is not None:
-        orders_in_seg = broadcast_dim_join(orders, seg_ref, "custkey", [], how="inner")
-    else:
-        orders_in_seg = hash_join(
-            orders, seg_mat, "custkey", how="semi", num_partitions=num_partitions
-        )
+    # segment gate: the semi join broadcasts the segment custkeys when
+    # they fit (map-side lookup — no custkey exchange at all), else it
+    # runs bucketed (fallback-equality pinned in test_relational.py)
+    orders_in_seg = hash_join(
+        orders, seg, "custkey", how="semi", num_partitions=num_partitions
+    )
 
     def rev_parts(b: pa.Table) -> pa.Table:
         keep = pc.greater(b.column("l_shipdate").cast(pa.int64()), cutoff_us)
@@ -1571,9 +1504,10 @@ def market_share(
     ~9.2e12) is documented there.
 
     Scale shape (round-5 restructure): every dimension side is
-    ADAPTIVE (``dim_ref_adaptive``) — the type's part keys, the
-    supplier ``is_target`` bits and the region's customer keys each
-    broadcast when they fit ``DIM_BROADCAST_MAX`` (they usually do
+    ADAPTIVE — the type's part keys and the region's customer keys
+    (semi ``hash_join`` gates) and the supplier ``is_target`` bits
+    (``dim_ref_adaptive``) each broadcast when they fit
+    ``DIM_BROADCAST_MAX`` (they usually do
     even under a 100 TB fact table, so the common plan pays exactly
     ONE exchange: per-order partials ⋈ gated orders) and fall back to
     the bucketed semi/inner hash joins past the bound (bit-identical
@@ -1625,26 +1559,11 @@ def market_share(
         )
 
     li_raw = lineitem_ds.map_batches(li_prep, batch_format="pyarrow")
-    # ADAPTIVE part gate (round 5): one part type's keys usually fit a
-    # broadcast even under a 100 TB fact table — then the biggest
-    # exchange of the chain (all of lineitem, keyed by partkey)
-    # becomes a map-side is-in filter; past DIM_BROADCAST_MAX the
-    # exact bucketed semi join runs
-    tp_ref, tp_mat = dim_ref_adaptive(tp, "partkey", [])
-    if tp_ref is not None:
-        import ray
-
-        def part_gate(b: pa.Table) -> pa.Table:
-            dim = ray.get(tp_ref)
-            pk = np.asarray(b.column("partkey").to_numpy(zero_copy_only=False))
-            mask, _ = dim_lookup(pk, dim)
-            return b.filter(pa.array(mask))
-
-        li = li_raw.map_batches(part_gate, batch_format="pyarrow")
-    else:
-        li = hash_join(
-            li_raw, tp_mat, "partkey", how="semi", num_partitions=num_partitions
-        )
+    # part gate: one part type's keys usually fit a broadcast even
+    # under a 100 TB fact table — then the semi join turns the biggest
+    # exchange of the chain (all of lineitem, keyed by partkey) into a
+    # map-side lookup; past the bound it runs bucketed
+    li = hash_join(li_raw, tp, "partkey", how="semi", num_partitions=num_partitions)
 
     def supp_prep(b: pa.Table) -> pa.Table:
         import ray
@@ -1713,29 +1632,16 @@ def market_share(
 
     cust = customer_ds.map_batches(cust_prep, batch_format="pyarrow")
     # region gate on the ORDERS side branch (concurrent with the fact
-    # chain); custkey never ships down the fact stream.  ADAPTIVE: a
-    # region's customer keys broadcast when they fit — the gate is
+    # chain); custkey never ships down the fact stream.  A region's
+    # customer keys usually fit the semi join's broadcast — the gate is
     # then map-side and the whole query pays ONE exchange
-    orders_prepped = orders_ds.map_batches(orders_prep, batch_format="pyarrow")
-    cust_ref, cust_mat = dim_ref_adaptive(cust, "custkey", [])
-    if cust_ref is not None:
-        import ray
-
-        def region_gate(b: pa.Table) -> pa.Table:
-            dim = ray.get(cust_ref)
-            ck = np.asarray(b.column("custkey").to_numpy(zero_copy_only=False))
-            mask, _ = dim_lookup(ck, dim)
-            return b.filter(pa.array(mask)).select(["orderkey", "o_year"])
-
-        gated_orders = orders_prepped.map_batches(region_gate, batch_format="pyarrow")
-    else:
-        gated_orders = hash_join(
-            orders_prepped,
-            cust_mat,
-            "custkey",
-            how="semi",
-            num_partitions=num_partitions,
-        ).select_columns(["orderkey", "o_year"])
+    gated_orders = hash_join(
+        orders_ds.map_batches(orders_prep, batch_format="pyarrow"),
+        cust,
+        "custkey",
+        how="semi",
+        num_partitions=num_partitions,
+    ).select_columns(["orderkey", "o_year"])
 
     def _empty_ms():
         return pa.table(

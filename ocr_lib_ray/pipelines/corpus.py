@@ -49,12 +49,13 @@ def fingerprint_extracted(batch: pa.Table) -> pa.Table:
 def _exact_losers(keyed: rd.Dataset, num_buckets: int) -> rd.Dataset:
     """(doc_id, fp) rows → Dataset of exact-dedup losers (column ``d2``).
 
-    A loser is any non-min doc_id of a duplicated fp (the Min-winner
-    policy of the broadcast path).  Grouping is on ``bucket_col(fp,
-    num_buckets)`` — fp groups are near-singleton and per-group Python
-    dispatch over them is the dominant cost otherwise (the
-    sessionize_salted lesson) — with the fine key resolved vectorized
-    inside the bucket.  Never collects; feeds dedup_by_pairs_join.
+    A loser is any doc_id of a duplicated fp other than its min
+    doc_id (the Min-winner policy; a repeated winner row is not a
+    loser).  Grouping is on ``bucket_col(fp, num_buckets)`` — fp groups
+    are near-singleton and per-group Python dispatch over them is the
+    dominant cost otherwise (the sessionize_salted lesson) — with the
+    fine key resolved vectorized inside the bucket.  Never collects;
+    feeds :func:`ocr_lib_ray.functions.dedup.dedup_by_pairs`.
     """
     import numpy as np
     import pandas as pd
@@ -69,9 +70,11 @@ def _exact_losers(keyed: rd.Dataset, num_buckets: int) -> rd.Dataset:
         g = g.sort_values(["fp", "doc_id"], kind="mergesort").reset_index(drop=True)
         fp = g["fp"].to_numpy()
         first = np.ones(len(g), dtype=bool)
-        if len(g) > 1:
-            first[1:] = fp[1:] != fp[:-1]
-        losers = g.loc[~first, "doc_id"]
+        first[1:] = fp[1:] != fp[:-1]
+        # each row's winner: the doc_id heading its fp run
+        ids = g["doc_id"].to_numpy()
+        winner = ids[np.flatnonzero(first)[np.cumsum(first) - 1]]
+        losers = g.loc[ids != winner, "doc_id"]
         # explicit string dtype: an EMPTY object column would reach
         # Arrow as null-typed and poison the downstream groupby schema
         return pd.DataFrame({"d2": pd.array(losers.tolist(), dtype="string")})
@@ -89,7 +92,6 @@ def build_training_data(
     chunk_overlap: int = 8,
     pack_budget: int = 128,
     checkpoint_dir: str | None = None,
-    dedup: str = "broadcast",
     line_max_df: int = 1,
     overwrite: bool = False,
     mixture_rates: dict | None = None,
@@ -114,17 +116,15 @@ def build_training_data(
     total_tokens).  Near-dup (minhash) dedup plugs in between exact
     dedup and scoring when the corpus calls for it (same Dataset shape).
 
-    ``dedup`` picks the exact-dedup filter strategy:
-
-    * ``"broadcast"`` (default): the {fp → winner} map of DUPLICATED
-      contents is collected and broadcast — right while duplicates ≪
-      corpus (typical crawls);
-    * ``"join"``: nothing is collected — losers stay a Dataset and the
-      filter is the bucketed hash-join anti-filter
-      (:func:`ocr_lib_ray.functions.dedup.dedup_by_pairs_join`), the
-      scale path for dup-heavy corpora (30-50% dup rates) where the
-      dup map itself is corpus-sized.  Output-equivalent (tested on a
-      dup-heavy fixture).
+    Exact dedup keeps the min doc_id per content: the losers (every
+    other doc_id of a duplicated content) stay a Dataset and drop
+    through :func:`ocr_lib_ray.functions.dedup.dedup_by_pairs` — a
+    broadcast filter while duplicates ≪ corpus (typical crawls), the
+    bucketed anti join once the loser set is corpus-sized (30-50% dup
+    rates).  Same output either way (tested on a dup-heavy fixture).
+    The filter keys on doc_id (the url), so urls are expected unique
+    per content: a url seen twice with the same text keeps both rows,
+    but a url that loses under any one of its contents drops whole.
 
     Opt-in curation stages (defaults leave the pipeline byte-identical):
 
@@ -151,8 +151,6 @@ def build_training_data(
     instead of re-parsing HTML.  Disk-streaming, resumable-friendly, and
     measured ~1.5× faster end-to-end at bench scale.
     """
-    from ray.data.aggregate import Min
-
     from ..functions.chunking import chunk_documents_batch, pack_sequences
     from ..functions.linedup import remove_common_lines
 
@@ -210,14 +208,11 @@ def build_training_data(
     # docs are stripped to empty text before the dedup stage sees them.
     docs = remove_common_lines(docs, max_df=line_max_df)
 
-    # exact dedup — winner-broadcast filter: the shuffle moves ONLY
-    # (fp, doc_id) rows (32-byte keys + urls), never the text.  The
-    # vectorized aggregate finds each content's winner; contents seen
-    # more than once (a tiny set relative to the corpus) are broadcast
-    # as an fp→winner map into a streaming filter over the doc Dataset
-    # (the dedup_by_pairs broadcast-loser pattern).
-    import ray
-    from ray.data.aggregate import Count
+    # exact dedup: the shuffle moves ONLY (fp, doc_id) rows (32-byte
+    # keys + urls), never the text; losers are the non-min doc_id per
+    # duplicated fp, found vectorized inside fp-hash buckets (near-
+    # singleton fp groups would melt a plain groupby(fp) dispatch)
+    from ..functions.dedup import dedup_by_pairs
 
     def _fp_batch(b: pa.Table) -> pa.Table:
         return pa.Table.from_arrays(
@@ -229,50 +224,15 @@ def build_training_data(
         )
 
     keyed = docs.map_batches(_fp_batch, batch_format="pyarrow")
-    if dedup == "join":
-        # nothing collected: losers stay a Dataset (non-min doc_id per
-        # duplicated fp, found vectorized inside fp-hash buckets — near-
-        # singleton fp groups would melt a plain groupby(fp) dispatch),
-        # then the bucketed hash-join anti-filter drops them.
-        from ..functions.dedup import dedup_by_pairs_join
-
-        losers = _exact_losers(keyed, num_buckets=max(16, cfg.num_partitions))
-        deduped = dedup_by_pairs_join(
-            docs, losers, id_col="doc_id", num_partitions=max(16, cfg.num_partitions)
-        )
-    elif dedup == "broadcast":
-        agg = keyed.groupby("fp").aggregate(
-            Min("doc_id", alias_name="winner"), Count(alias_name="n")
-        )
-        dup_batches = list(
-            agg.map_batches(
-                lambda b: b.filter(pc.greater(b.column("n"), 1)).select(["fp", "winner"]),
-                batch_format="pyarrow",
-            ).iter_batches(batch_format="pyarrow")
-        )
-        dup_map = {}
-        for t in dup_batches:
-            dup_map.update(zip(t.column("fp").to_pylist(), t.column("winner").to_pylist()))
-        dup_ref = ray.put(dup_map)
-
-        def _keep_winners(b: pa.Table) -> pa.Table:
-            dups = ray.get(dup_ref)
-            if not dups or b.num_rows == 0:
-                return b
-            with_fp = _fp_batch(b)
-            ids = with_fp.column("doc_id").to_pylist()
-            fps_ = with_fp.column("fp").to_pylist()
-            keep = [dups.get(f, i) == i for i, f in zip(ids, fps_)]
-            return b.filter(pa.array(keep, pa.bool_()))
-
-        deduped = docs.map_batches(_keep_winners, batch_format="pyarrow")
-    else:
-        raise ValueError(f"dedup must be 'broadcast' or 'join', got {dedup!r}")
+    losers = _exact_losers(keyed, num_buckets=max(16, cfg.num_partitions))
+    deduped = dedup_by_pairs(docs, losers, id_col="doc_id")
 
     if eval_docs is not None:
         # benchmark decontamination: drop any doc sharing a decontam_n-
         # gram with the eval set (filtered inline — same membership rule
         # as functions.ngramdup.decontaminate)
+        import ray
+
         from ..functions.ngramdup import (
             _collect_gram_digests,
             _gram_digest,

@@ -7,7 +7,7 @@ Distributed form of ``read-image-fn``
       → map_batches(synthesize_pages)          # fixture source stage
       → map_batches(add_partition_meta)        # url-hash partition id
       → map_batches(ExtractDocuments, actor pool)  # the kernel
-      → write_with_manifest (exchange by partition id) | write_partitioned
+      → write_with_manifest (exchange by partition id)
 
 No stage before the sink materializes the dataset; the only
 all-to-all exchange is the manifest sink's exchange keyed by
@@ -19,8 +19,6 @@ exchange; SURVEY.md §7.3).  See
 """
 
 from __future__ import annotations
-
-import os
 
 import ray.data as rd
 
@@ -136,94 +134,6 @@ def write_with_manifest(extracted: rd.Dataset, out_dir: str, resume: bool = True
     )
     rows = manifest.count()
     return {"partitions_written": rows, "partitions_skipped": skipped}
-
-
-def write_partitioned(extracted: rd.Dataset, out_dir: str, resume: bool = True) -> dict:
-    """Zero-shuffle streaming sink: ``write_parquet(partition_cols=
-    ["partition_id"])`` — every task appends its rows straight into the
-    hive-style partition dirs, NO all-to-all on the data.  Manifests are
-    built post-hoc from the parquet footers (row counts from metadata —
-    no data re-read; checksums via :func:`...manifest.validate_job` when
-    an audit is wanted).
-
-    Tradeoff vs :func:`write_with_manifest` (the exchange sink): that
-    one gives per-partition ATOMIC completion (resume granularity =
-    partition) but materializes each partition in one task — size
-    ``num_partitions`` so a partition fits a worker (~total_bytes /
-    512 MB).  This one streams with bounded memory at any scale but a
-    mid-job crash leaves partially-written partition dirs and no
-    manifests — resume granularity is the whole job.  It also writes
-    one file per (task, partition) — many smaller files (measured 4096
-    files for 1M rows at 256 tasks × 16 partitions vs the exchange
-    sink's 16) — compact with a follow-up per-partition rewrite if the
-    consumer needs few files.  Pick per job shape; both are tested.
-    """
-    import pyarrow.parquet as pqt
-
-    from ..stages.manifest import MANIFEST_SCHEMA
-
-    import shutil
-
-    data_dir = os.path.join(out_dir, "data")
-    if resume:
-        done = completed_partitions(out_dir)
-        if done:
-            extracted = extracted.map_batches(
-                make_resume_filter(done), batch_format="pyarrow"
-            )
-        if os.path.isdir(data_dir):
-            # restart semantics: any partition dir WITHOUT a manifest row
-            # is a partial write from a crashed run — re-running would
-            # APPEND duplicate files into it, so wipe those dirs first.
-            for d in os.listdir(data_dir):
-                if d.startswith("partition_id="):
-                    pid = int(d.split("=")[1])
-                    if pid not in done:
-                        shutil.rmtree(os.path.join(data_dir, d), ignore_errors=True)
-    else:
-        # full rewrite: every partition is re-emitted, so EVERY existing
-        # dir (and the stale manifests) must go — write_parquet appends,
-        # and keeping old files would silently double completed
-        # partitions' rows.
-        shutil.rmtree(data_dir, ignore_errors=True)
-        shutil.rmtree(os.path.join(out_dir, "manifest"), ignore_errors=True)
-    extracted.write_parquet(data_dir, partition_cols=["partition_id"])
-    # post-hoc manifests from footers
-    man_dir = os.path.join(out_dir, "manifest")
-    os.makedirs(man_dir, exist_ok=True)
-    written = 0
-    for d in sorted(os.listdir(data_dir)):
-        if not d.startswith("partition_id="):
-            continue
-        pid = int(d.split("=")[1])
-        n_docs = 0
-        n_bytes = 0
-        for f in os.listdir(os.path.join(data_dir, d)):
-            if not f.endswith(".parquet"):
-                continue
-            fp = os.path.join(data_dir, d, f)
-            meta = pqt.ParquetFile(fp).metadata
-            n_docs += meta.num_rows
-            n_bytes += os.path.getsize(fp)
-        import pyarrow as pa
-
-        row = pa.Table.from_arrays(
-            [
-                pa.array([pid], pa.int32()),
-                pa.array([n_docs], pa.int64()),
-                pa.array([n_bytes], pa.int64()),
-                pa.array([0], pa.uint64()),  # checksum deferred to validate_job
-                pa.array(["ok"], pa.string()),
-                pa.array([os.path.join(data_dir, d)], pa.string()),
-                pa.array([0.0], pa.float64()),
-            ],
-            schema=MANIFEST_SCHEMA,
-        )
-        mtmp = os.path.join(man_dir, f"part-{pid}.parquet.tmp")
-        pqt.write_table(row, mtmp)
-        os.replace(mtmp, os.path.join(man_dir, f"part-{pid}.parquet"))
-        written += 1
-    return {"partitions_written": written, "partitions_skipped": 0}
 
 
 def run_extract_job(

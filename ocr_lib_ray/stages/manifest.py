@@ -172,13 +172,6 @@ def validate_job(out_dir: str) -> dict:
                 continue
             ok_rows = data.num_rows == m.column("n_docs")[i].as_py()
             stored = m.column("checksum")[i].as_py()
-            if stored == 0:
-                # deferred-checksum sentinel (the zero-shuffle sink
-                # records counts only): audit the row count, don't
-                # compare against a checksum that was never computed
-                if not ok_rows:
-                    invalid.append(pid)
-                continue
             cs = partition_checksum(
                 data.column("url").to_pylist(), data.column("text").to_pylist()
             )

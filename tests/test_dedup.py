@@ -349,14 +349,16 @@ def test_exact_ngram_pairs_batch_no_ray_broadcast():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_dedup_against_reference_modes_agree(sf_small):
+def test_dedup_against_reference_modes_agree(sf_small, monkeypatch):
     """Incremental crawl-over-crawl dedup: the bucketed anti-join (the
-    corpus-sized-reference scale path) must keep exactly the same docs
-    as the broadcast filter, and behavior must be correct on planted
-    overlaps and an empty reference."""
+    corpus-sized-reference scale path, forced by a broadcast bound of
+    0) must keep exactly the same docs as the broadcast filter, and
+    behavior must be correct on planted overlaps and an empty
+    reference."""
     import pandas as pd
     import ray.data as rd
 
+    import ocr_lib_ray.functions.joins as joins
     from ocr_lib_ray.functions.dedup import dedup_against_reference, doc_fingerprints
 
     docs = rd.read_parquet(f"{sf_small}/documents.parquet", columns=["doc_id", "text"])
@@ -364,13 +366,12 @@ def test_dedup_against_reference_modes_agree(sf_small):
         docs.to_pandas().query("doc_id % 3 == 0")[["doc_id", "text"]]
     )
     ref = doc_fingerprints(prior)
-    a = sorted(
-        dedup_against_reference(docs, ref, mode="broadcast").to_pandas()["doc_id"]
-    )
+    a = sorted(dedup_against_reference(docs, ref).to_pandas()["doc_id"])
+    monkeypatch.setattr(joins, "DIM_BROADCAST_MAX", 0)
     b = sorted(
-        dedup_against_reference(docs, ref, mode="join", num_partitions=8)
-        .to_pandas()["doc_id"]
+        dedup_against_reference(docs, ref, num_partitions=8).to_pandas()["doc_id"]
     )
+    monkeypatch.undo()
     assert a == b and len(a) > 0
     assert all(i % 3 != 0 for i in a)  # every prior doc drops (self-match)
 
@@ -389,27 +390,28 @@ def test_dedup_against_reference_modes_agree(sf_small):
     assert sorted(out.columns) == ["doc_id", "text"]
 
 
-def test_dedup_minhash_incremental(sf_small):
+def test_dedup_minhash_incremental(sf_small, monkeypatch):
     """NEAR-dup crawl-over-crawl dedup: a paraphrase of a prior-crawl
-    doc must drop while fresh text survives; broadcast and join modes
-    must keep identical sets; an empty reference is a no-op."""
+    doc must drop while fresh text survives; the broadcast and the
+    bucketed (bound 0) loser filters must keep identical sets; an
+    empty reference is a no-op."""
     import pandas as pd
     import ray.data as rd
 
+    import ocr_lib_ray.functions.joins as joins
     from ocr_lib_ray.functions.dedup import dedup_minhash_incremental
 
     docs = rd.read_parquet(f"{sf_small}/documents.parquet", columns=["doc_id", "text"])
     pdf = docs.to_pandas()
     prior = rd.from_pandas(pdf.query("doc_id % 2 == 0")[["doc_id", "text"]])
 
-    a = sorted(
-        dedup_minhash_incremental(docs, prior, mode="broadcast")
-        .to_pandas()["doc_id"]
-    )
+    a = sorted(dedup_minhash_incremental(docs, prior).to_pandas()["doc_id"])
+    monkeypatch.setattr(joins, "DIM_BROADCAST_MAX", 0)
     b = sorted(
-        dedup_minhash_incremental(docs, prior, mode="join", num_partitions=8)
+        dedup_minhash_incremental(docs, prior, num_partitions=8)
         .to_pandas()["doc_id"]
     )
+    monkeypatch.undo()
     assert a == b and len(a) > 0
     assert all(i % 2 != 0 for i in a)  # every prior doc self-matches (est 1.0)
 
@@ -424,9 +426,7 @@ def test_dedup_minhash_incremental(sf_small):
             }
         )
     )
-    kept = sorted(
-        dedup_minhash_incremental(new, prior, mode="broadcast").to_pandas()["doc_id"]
-    )
+    kept = sorted(dedup_minhash_incremental(new, prior).to_pandas()["doc_id"])
     assert kept == [20_002]
 
     # empty reference → everything survives (no shuffle at all)
@@ -517,28 +517,34 @@ def test_crawl_diff_disjoint_snapshots():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_dedup_fuzzy_keep_best_modes_equivalent():
-    """broadcast (dup-subset shuffle) and join (nothing collected)
-    modes select the identical survivor set."""
+def test_dedup_fuzzy_keep_best_modes_equivalent(monkeypatch):
+    """The broadcast label stamp (default bound) and the bucketed left
+    join + keep_latest (bound 0 — nothing collected) select the
+    identical survivor set."""
     import ray.data as rd
+
+    import ocr_lib_ray.functions.joins as joins
 
     sf = "/root/testdata/sf0.001/documents.parquet"
     from ocr_lib_ray.functions.dedup import dedup_fuzzy_keep_best
 
     docs = rd.read_parquet(sf, columns=["doc_id", "text", "n_chars"])
     a = set(dedup_fuzzy_keep_best(docs).to_pandas()["doc_id"])
+    monkeypatch.setattr(joins, "DIM_BROADCAST_MAX", 0)
     docs2 = rd.read_parquet(sf, columns=["doc_id", "text", "n_chars"])
-    b = set(dedup_fuzzy_keep_best(docs2, mode="join").to_pandas()["doc_id"])
+    b = set(dedup_fuzzy_keep_best(docs2).to_pandas()["doc_id"])
     assert a == b and len(a) > 0
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_dup_cluster_sizes_hand_checked():
+def test_dup_cluster_sizes_hand_checked(monkeypatch):
     """Planted clusters: a 3-clique (chain pairs suffice — CC closes
     it), one 2-cluster, and singletons; the histogram counts each
-    exactly once, at any block layout."""
+    exactly once, at any block layout and on either stamp path."""
     import pandas as pd
     import ray.data as rd
+
+    import ocr_lib_ray.functions.joins as joins
 
     from ocr_lib_ray.functions.dedup import dup_cluster_sizes
 
@@ -567,3 +573,13 @@ def test_dup_cluster_sizes_hand_checked():
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(out, again)
+    # the bucketed left-join stamp (labels past the broadcast bound)
+    # gives the same histogram
+    monkeypatch.setattr(joins, "DIM_BROADCAST_MAX", 0)
+    joined = (
+        dup_cluster_sizes(rd.from_arrow(docs).repartition(3), rd.from_arrow(pairs))
+        .to_pandas()
+        .sort_values("size")
+        .reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(out, joined)

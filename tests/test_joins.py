@@ -207,53 +207,64 @@ def test_hash_join_inner_and_left_match_pandas():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_hash_join_semi_anti():
+def test_hash_join_semi_anti(monkeypatch):
     """semi/anti = EXISTS / NOT EXISTS key filters: left columns only,
     no multiplication from duplicate right keys, partition-count
-    invariant; right value columns are rejected up front."""
+    invariant; right value columns are rejected up front.  Every case
+    runs on both paths: the broadcast key lookup (default bound) and
+    the bucketed exchange (bound 0)."""
     import pandas as pd
     import pytest as pt
     import ray.data as rd
 
+    import ocr_lib_ray.functions.joins as joins
     from ocr_lib_ray.functions.joins import hash_join
 
     left = pd.DataFrame({"k": [1, 2, 3, 4, 4], "lv": [10, 20, 30, 40, 41]})
     right = pd.DataFrame({"k": [2, 2, 4, 9], "rv": [200, 201, 400, 900]})
     want_semi = left[left["k"].isin(right["k"])]
     want_anti = left[~left["k"].isin(right["k"])]
-    for how, want in (("semi", want_semi), ("anti", want_anti)):
-        want = want.sort_values(["k", "lv"]).reset_index(drop=True)
-        for nparts in (1, 5):
-            got = (
-                hash_join(
-                    rd.from_pandas(left).repartition(2),
-                    rd.from_pandas(right),
-                    "k",
-                    how=how,
-                    num_partitions=nparts,
+    for bound in (joins.DIM_BROADCAST_MAX, 0):
+        monkeypatch.setattr(joins, "DIM_BROADCAST_MAX", bound)
+        for how, want in (("semi", want_semi), ("anti", want_anti)):
+            want = want.sort_values(["k", "lv"]).reset_index(drop=True)
+            for nparts in (1, 5):
+                got = (
+                    hash_join(
+                        rd.from_pandas(left).repartition(2),
+                        rd.from_pandas(right),
+                        "k",
+                        how=how,
+                        num_partitions=nparts,
+                    )
+                    .to_pandas()
+                    .sort_values(["k", "lv"])
+                    .reset_index(drop=True)
                 )
-                .to_pandas()
-                .sort_values(["k", "lv"])
-                .reset_index(drop=True)
+                pd.testing.assert_frame_equal(got[want.columns.tolist()], want)
+        with pt.raises(ValueError, match="left columns only"):
+            hash_join(
+                rd.from_pandas(left), rd.from_pandas(right), "k", ["rv"], how="semi"
             )
-            pd.testing.assert_frame_equal(got[want.columns.tolist()], want)
-    with pt.raises(ValueError, match="left columns only"):
-        hash_join(
-            rd.from_pandas(left), rd.from_pandas(right), "k", ["rv"], how="semi"
-        )
-    # EXISTS/NOT EXISTS null semantics: a null left key matches nothing
-    # (semi drops it, anti keeps it); null right keys are ignored — NOT
-    # the SQL `NOT IN` footgun where one right null empties the result
-    lnull = pd.DataFrame({"k": [1.0, None, 3.0], "lv": [10, 20, 30]})
-    rnull = pd.DataFrame({"k": [1.0, None]})
-    semi = hash_join(
-        rd.from_pandas(lnull), rd.from_pandas(rnull), "k", how="semi"
-    ).to_pandas()
-    assert semi["lv"].tolist() == [10]
-    anti = hash_join(
-        rd.from_pandas(lnull), rd.from_pandas(rnull), "k", how="anti"
-    ).to_pandas()
-    assert sorted(anti["lv"].tolist()) == [20, 30]
+        # EXISTS/NOT EXISTS null semantics: a null left key matches
+        # nothing (semi drops it, anti keeps it); null right keys are
+        # ignored — NOT the SQL `NOT IN` footgun where one right null
+        # empties the result.  Float and string keys alike.
+        for lk, rk in (([1.0, None, 3.0], [1.0, None]), (["a", None, "c"], ["a", None])):
+            lnull = pd.DataFrame({"k": lk, "lv": [10, 20, 30]})
+            rnull = pd.DataFrame({"k": rk})
+            semi = hash_join(
+                rd.from_pandas(lnull), rd.from_pandas(rnull), "k", how="semi"
+            ).to_pandas()
+            assert semi["lv"].tolist() == [10]
+            anti = hash_join(
+                rd.from_pandas(lnull), rd.from_pandas(rnull), "k", how="anti"
+            ).to_pandas()
+            assert sorted(anti["lv"].tolist()) == [20, 30]
+        # an empty right side: semi keeps nothing, anti keeps everything
+        empty = rd.from_pandas(pd.DataFrame({"k": pd.Series([], dtype="int64")}))
+        assert hash_join(rd.from_pandas(left), empty, "k", how="semi").count() == 0
+        assert hash_join(rd.from_pandas(left), empty, "k", how="anti").count() == 5
 
 
 @pytest.mark.usefixtures("ray_session")

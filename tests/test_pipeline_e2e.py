@@ -11,21 +11,6 @@ from ocr_lib_ray.config import ExtractConfig
 from ocr_lib_ray.sources.pages import golden_text, page_url
 
 
-def partition_rows(out: str) -> int:
-    """Sum footer row counts across every partition dir of a job."""
-    import os
-
-    import pyarrow.parquet as pq2
-
-    data = os.path.join(out, "data")
-    return sum(
-        pq2.ParquetFile(os.path.join(data, d, f)).metadata.num_rows
-        for d in os.listdir(data)
-        for f in os.listdir(os.path.join(data, d))
-        if f.endswith(".parquet")
-    )
-
-
 def golden_map(sf_dir):
     docs = pq.read_table(f"{sf_dir}/documents.parquet")
     return {
@@ -272,77 +257,6 @@ def test_manifest_sink_width_follows_blocks(sf_small, tmp_path, monkeypatch):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_write_partitioned_zero_shuffle_sink(sf_small, tmp_path):
-    """The streaming sink (write_parquet partition_cols, no groupby)
-    writes the same rows as the groupby sink and yields footers-based
-    manifests; resume then skips everything."""
-    import os
-
-    import pyarrow.parquet as pq2
-
-    from ocr_lib_ray.pipelines.extract import (
-        build_pages_dataset,
-        extract_pipeline,
-        write_partitioned,
-    )
-
-    out = str(tmp_path / "streamed")
-    r = write_partitioned(
-        extract_pipeline(build_pages_dataset(sf_small)), out, resume=True
-    )
-    assert r["partitions_written"] > 0
-    # total rows across partition dirs == corpus size
-    assert partition_rows(out) == 500
-    # resume: all partitions have manifests → extraction is filtered to 0
-    r2 = write_partitioned(
-        extract_pipeline(build_pages_dataset(sf_small)), out, resume=True
-    )
-    assert partition_rows(out) == 500  # nothing appended on resume
-    # full rewrite (resume=False) wipes before writing — never doubles
-    r3 = write_partitioned(
-        extract_pipeline(build_pages_dataset(sf_small)), out, resume=False
-    )
-    assert r3["partitions_written"] > 0
-    assert partition_rows(out) == 500
-    # the documented audit works on this sink's deferred-checksum
-    # manifests: row counts verified, no false corruption
-    from ocr_lib_ray.stages.manifest import validate_job
-
-    audit = validate_job(out)
-    assert audit["partitions"] > 0 and audit["invalid"] == []
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_streamed_sink_crash_restart_no_duplicates(sf_small, tmp_path):
-    """A crashed streamed-sink run (data files present, no manifests)
-    must not duplicate rows on rerun — partial partition dirs are wiped."""
-    import os
-
-    import pyarrow.parquet as pq2
-
-    from ocr_lib_ray.pipelines.extract import (
-        build_pages_dataset,
-        extract_pipeline,
-        write_partitioned,
-    )
-
-    out = str(tmp_path / "crashy")
-    write_partitioned(extract_pipeline(build_pages_dataset(sf_small)), out)
-    # simulate a crash on HALF the partitions: delete their manifests
-    man = os.path.join(out, "manifest")
-    for f in sorted(os.listdir(man))[:8]:
-        os.remove(os.path.join(man, f))
-    write_partitioned(extract_pipeline(build_pages_dataset(sf_small)), out)
-    total = sum(
-        pq2.ParquetFile(os.path.join(out, "data", d, f)).metadata.num_rows
-        for d in os.listdir(os.path.join(out, "data"))
-        for f in os.listdir(os.path.join(out, "data", d))
-        if f.endswith(".parquet")
-    )
-    assert total == 500  # no duplicates, nothing lost
-
-
-@pytest.mark.usefixtures("ray_session")
 def test_partition_layout_deterministic(sf_small, tmp_path):
     """Same input → same partition files and checksums across runs
     (url-hash partitioning is stable)."""
@@ -503,38 +417,61 @@ def test_bundle_extra_entities_reteach():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_build_training_data_join_dedup_equivalent(sf_small):
-    """dedup='join' (bucketed hash-join anti-filter — nothing collected,
-    the dup-heavy-corpus scale path) must equal the default broadcast
-    dup-map on a dup-heavy fixture (repeat=3: every doc duplicated under
-    3 distinct urls)."""
+def test_build_training_data_join_dedup_equivalent(sf_small, monkeypatch):
+    """The exact-dedup loser filter keeps the same docs on its
+    broadcast path (default bound) and its bucketed anti-join path
+    (bound 0 — the dup-heavy-corpus scale path) on a dup-heavy fixture
+    (repeat=3: every doc duplicated under 3 distinct urls)."""
+    import ocr_lib_ray.functions.joins as joins
     from ocr_lib_ray.pipelines.corpus import build_training_data
     from ocr_lib_ray.pipelines.extract import build_pages_dataset
 
     key = ["partition_id", "seq_id"]
-    # line_max_df=10 keeps the shared lines alive (repeat=3 gives every
-    # line df=3; the default max_df=1 would strip duplicated docs to
-    # empty text BEFORE exact dedup and trivialize the comparison)
-    a = (
-        build_training_data(build_pages_dataset(sf_small, repeat=3), line_max_df=10)
-        .to_pandas()
-        .sort_values(key)
-        .reset_index(drop=True)
-    )
-    b = (
-        build_training_data(
-            build_pages_dataset(sf_small, repeat=3), dedup="join", line_max_df=10
+
+    def run(repeat):
+        # line_max_df=10 keeps the shared lines alive (repeat=3 gives
+        # every line df=3; the default max_df=1 would strip duplicated
+        # docs to empty text BEFORE exact dedup and trivialize the
+        # comparison)
+        return (
+            build_training_data(build_pages_dataset(sf_small, repeat=repeat), line_max_df=10)
+            .to_pandas()
+            .sort_values(key)
+            .reset_index(drop=True)
         )
-        .to_pandas()
-        .sort_values(key)
-        .reset_index(drop=True)
-    )
+
+    a = run(3)
+    monkeypatch.setattr(joins, "DIM_BROADCAST_MAX", 0)
+    b = run(3)
     assert len(a) > 0
     assert a.equals(b)
     # the dedup actually bit: the dup-heavy corpus packs exactly the
     # tokens of the singleton corpus (one winner per content survives)
-    c = build_training_data(build_pages_dataset(sf_small), line_max_df=10).to_pandas()
+    monkeypatch.undo()
+    c = run(1)
     assert a["total_tokens"].sum() == c["total_tokens"].sum()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_exact_losers_keep_a_repeated_winner():
+    """A loser is a doc_id other than its content's min doc_id: a
+    winner row seen twice (the same url crawled twice) is no loser, so
+    the anti filter keeps both copies."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ocr_lib_ray.pipelines.corpus import _exact_losers
+
+    keyed = rd.from_arrow(
+        pa.table(
+            {
+                "doc_id": ["u1", "u1", "u2", "u3", "u4"],
+                "fp": ["A", "A", "A", "B", "C"],
+            }
+        )
+    )
+    losers = _exact_losers(keyed, num_buckets=4).to_pandas()
+    assert sorted(losers["d2"]) == ["u2"]
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -770,6 +770,7 @@ def test_adaptive_dim_broadcast_equals_join_fallback(monkeypatch):
     import pyarrow.parquet as pq2
     import ray.data as rd
 
+    import ocr_lib_ray.functions.joins as joins
     import ocr_lib_ray.functions.relational as rel
 
     lo = int(pd.Timestamp("1995-01-01").value // 1000)
@@ -784,9 +785,9 @@ def test_adaptive_dim_broadcast_equals_join_fallback(monkeypatch):
 
     def both(fn):
         a = fn()
-        monkeypatch.setattr(rel, "DIM_BROADCAST_MAX", 0)
+        monkeypatch.setattr(joins, "DIM_BROADCAST_MAX", 0)
         b = fn()
-        monkeypatch.setattr(rel, "DIM_BROADCAST_MAX", 5_000_000)
+        monkeypatch.undo()
         return a, b
 
     pt = pq2.read_table(f"{SF}/part.parquet").column("p_type")[0].as_py()

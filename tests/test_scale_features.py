@@ -191,22 +191,20 @@ def test_cosine_dups_lsh_recall(sf_small):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_dedup_by_pairs_join_equivalent(sf_small):
-    """The hash-join anti-filter (no loser broadcast — the dup-heavy-
-    corpus scale path) must keep exactly the same docs as the broadcast
-    path."""
+def test_dedup_by_pairs_join_equivalent(sf_small, monkeypatch):
+    """The loser filter's bucketed anti-join path (no loser broadcast —
+    the dup-heavy-corpus scale path, forced by a broadcast bound of 0)
+    must keep exactly the same docs as its broadcast path."""
     import ray.data as rd
 
-    from ocr_lib_ray.functions.dedup import (
-        dedup_by_pairs,
-        dedup_by_pairs_join,
-        minhash_lsh_pairs,
-    )
+    import ocr_lib_ray.functions.joins as joins
+    from ocr_lib_ray.functions.dedup import dedup_by_pairs, minhash_lsh_pairs
 
     docs = rd.read_parquet(f"{sf_small}/documents.parquet", columns=["doc_id", "text"])
-    pairs = minhash_lsh_pairs(docs, threshold=0.8)
+    pairs = minhash_lsh_pairs(docs, threshold=0.8).materialize()
     a = sorted(dedup_by_pairs(docs, pairs).to_pandas()["doc_id"])
-    b = sorted(dedup_by_pairs_join(docs, pairs, num_partitions=8).to_pandas()["doc_id"])
+    monkeypatch.setattr(joins, "DIM_BROADCAST_MAX", 0)
+    b = sorted(dedup_by_pairs(docs, pairs).to_pandas()["doc_id"])
     assert a == b and len(a) > 0
 
 
@@ -267,26 +265,30 @@ def test_remove_common_lines_join_equivalent():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_dedup_by_pairs_join_empty_pairs_and_odd_ids():
+def test_dedup_by_pairs_join_empty_pairs_and_odd_ids(monkeypatch):
     """Zero pairs → docs unchanged (no sentinel anchor), and a corpus
     containing a legitimate id of -1 must survive intact (the old int64
-    -1 anchor silently dropped it)."""
+    -1 anchor silently dropped it) — on the broadcast and the bucketed
+    (bound 0) loser filter alike."""
     import pandas as pd
     import pyarrow as pa
     import ray.data as rd
 
-    from ocr_lib_ray.functions.dedup import dedup_by_pairs_join
+    import ocr_lib_ray.functions.joins as joins
+    from ocr_lib_ray.functions.dedup import dedup_by_pairs
 
     docs = rd.from_pandas(pd.DataFrame({"doc_id": [-1, 0, 7], "text": ["a", "b", "c"]}))
     empty_pairs = rd.from_arrow(
         pa.table({"d1": pa.array([], pa.int64()), "d2": pa.array([], pa.int64())})
     )
-    out = sorted(dedup_by_pairs_join(docs, empty_pairs, num_partitions=4).to_pandas()["doc_id"])
-    assert out == [-1, 0, 7]
-    # -1 as a genuine loser is dropped; -1 as a winner survives
     pairs = rd.from_pandas(pd.DataFrame({"d1": [-1], "d2": [7]}))
-    out2 = sorted(dedup_by_pairs_join(docs, pairs, num_partitions=4).to_pandas()["doc_id"])
-    assert out2 == [-1, 0]
+    for bound in (joins.DIM_BROADCAST_MAX, 0):
+        monkeypatch.setattr(joins, "DIM_BROADCAST_MAX", bound)
+        out = sorted(dedup_by_pairs(docs, empty_pairs).to_pandas()["doc_id"])
+        assert out == [-1, 0, 7]
+        # -1 as a genuine loser is dropped; -1 as a winner survives
+        out2 = sorted(dedup_by_pairs(docs, pairs).to_pandas()["doc_id"])
+        assert out2 == [-1, 0]
 
 
 def test_safe_wipe_output_guards(tmp_path):
