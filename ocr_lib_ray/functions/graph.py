@@ -822,8 +822,10 @@ def triangle_support(edges_ds, max_wedges: int = 50_000_000, num_partitions: int
     HASH-BUCKET groups (bucket-first, never per-key dispatch),
     pre-counted per (a, b) inside the bucket, then matched against the
     edge set with a TAGGED UNION + one (a, b) groupby.  The two degree
-    joins are themselves hub-salted (``replicate_keys``) so the hub's
-    edge rows never funnel into one merge task.
+    joins broadcast the degree table while it fits
+    ``joins.DIM_BROADCAST_MAX``; past it they are hub-salted
+    (``replicate_keys``) so the hub's edge rows never funnel into one
+    merge task.
 
     Guard, not a silent melt: the wedge volume Σ C(out-deg, 2) over the
     ORIENTED graph is pre-computed distributed and the op raises above

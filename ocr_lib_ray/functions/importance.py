@@ -199,9 +199,10 @@ def source_divergence(docs_ds, text_col: str = "text", source_col: str = "source
     driver-reduced — the whole query pays TWO exchanges (the st and
     glob groupbys).  Past the bounds (millions of sources, or a vocab
     beyond broadcast) the original fully-streamed path runs: both
-    enrichment joins (token → n_g, source → N_s) as bucketed hash
-    joins and a distributed final groupby — bit-identical output
-    (pinned by a monkeypatched equality test).
+    enrichment joins (token → n_g, source → N_s) as inner hash joins,
+    each broadcast by ``hash_join`` itself while its side fits
+    ``joins.DIM_BROADCAST_MAX``, and a distributed final groupby —
+    bit-identical output (pinned by a monkeypatched equality test).
     """
     import numpy as np
     import pandas as pd

@@ -1,10 +1,16 @@
-"""Temporal joins Ray Data lacks natively: as-of and range joins.
+"""Every equi-join of the engine: :func:`hash_join` (inner, left,
+right, full_outer, semi, anti) and the temporal as-of and range joins.
 
-Both are explicit partitioned hash joins (the portable pattern — add
-``bucket = bucket_col(key, P)`` to both sides, one bucket exchange,
-and merge inside the group): a bucket holds EVERY row of its keys from
-both sides, so per-key time logic is local to one task.  P bounds per-task
-memory (size ≈ total_rows / P); skewed keys can be salted into
+The module also owns the one broadcast-or-bucketed decision
+(:func:`dim_ref_adaptive` against ``DIM_BROADCAST_MAX``): a single-key
+semi/anti filter or inner enrich whose prepped right side fits is
+broadcast once into a map-side lookup; everything else runs bucketed.
+
+The bucketed joins are explicit partitioned hash joins (the portable
+pattern — add ``bucket = bucket_col(key, P)`` to both sides, one bucket
+exchange, and merge inside the group): a bucket holds EVERY row of its
+keys from both sides, so per-key logic is local to one task.  P bounds
+per-task memory (size ≈ total_rows / P); skewed keys can be salted into
 sub-buckets by time range if one key outgrows a worker.
 
 Partitioning assumption (documented per the custom-operator rule): key
@@ -162,12 +168,23 @@ def zero_fill(n: int, t: pa.DataType) -> pa.Array:
 # --------------------------------------------------------------------------
 
 
+def _null_keys_error(key_cols: list) -> ValueError:
+    return ValueError(
+        f"hash_join: null join keys in {key_cols!r} are unsupported "
+        "(SQL never matches them; pandas would) — filter or fill "
+        "them first"
+    )
+
+
 def make_dim_ref(dim: pa.Table, key_col: str, value_cols: list):
     """``ray.put`` a small dimension once: (sorted keys, aligned value
     columns).  The object-store ref is fetched zero-copy per task —
-    the dimension is shipped to each NODE once, not per batch."""
+    the dimension is shipped to each NODE once, not per batch.  Null
+    keys raise: a lookup could neither sort nor match them."""
     import ray
 
+    if dim.column(key_col).null_count:
+        raise _null_keys_error([key_col])
     keys = np.asarray(dim.column(key_col).to_numpy(zero_copy_only=False))
     order = np.argsort(keys, kind="stable")
     idx = pa.array(order)
@@ -243,6 +260,30 @@ def _key_filter(ref, key_col: str, how: str):
         return b.filter(pa.array(hit if how == "semi" else ~hit))
 
     return keep
+
+
+def _key_enrich(ref, key_col: str, value_cols: list, suffix: str):
+    """Map-side inner enrich against a broadcast side with UNIQUE keys:
+    a left row whose key is found gets that key's ``value_cols`` (named
+    ``c + suffix``); the others drop.  Null left keys raise, and the
+    column-collision guard runs on the first batch when the left schema
+    was not known up front."""
+    import ray
+
+    def enrich(b: pa.Table) -> pa.Table:
+        _check_right_cols(b.schema, value_cols, suffix)
+        col = b.column(key_col)
+        if col.null_count:
+            raise _null_keys_error([key_col])
+        dim = ray.get(ref)
+        mask, pos = dim_lookup(np.asarray(col.to_numpy(zero_copy_only=False)), dim)
+        idx = pa.array(pos[mask])
+        b = b.filter(pa.array(mask))
+        for c in value_cols:
+            b = b.append_column(c + suffix, dim[1][c].take(idx))
+        return b
+
+    return enrich
 
 
 def _key_buckets(batch: pa.Table, key_cols: list, num_partitions: int) -> np.ndarray:
@@ -401,18 +442,19 @@ def run_bucket_groups(
     )
 
 
-def _check_right_cols(left_ds, right_value_cols, suffix: str, extra=()) -> None:
-    """Shared join-guard: right value columns must not collide with
-    left columns, neither bare (the bucketed union would merge them)
-    nor under their suffixed OUTPUT names (pandas would emit _x/_y
-    mangles and the in-group sort/rename would KeyError deep inside a
-    Ray task instead of failing here)."""
-    sch = left_ds.schema()
+def _check_right_cols(sch, right_value_cols, suffix: str, extra=()) -> None:
+    """Shared join-guard on the left schema ``sch``: right value columns
+    must not collide with left columns, neither bare (the bucketed
+    union would merge them) nor under their suffixed OUTPUT names
+    (pandas would emit _x/_y mangles and the in-group sort/rename would
+    KeyError deep inside a Ray task instead of failing here)."""
     if sch is None:
         # an empty lazy left side (e.g. a groupby over a filtered-to-
-        # empty stream) can report no schema; the guard has nothing to
-        # check then — _union_bucketed's materialize fallback resolves
-        # (or loudly rejects) the alignment
+        # empty stream) can report no schema, and so can a lazy one
+        # probed without execution; the guard has nothing to check then
+        # — the broadcast enrich re-checks each batch, and
+        # _union_bucketed's materialize fallback resolves (or loudly
+        # rejects) the alignment
         return
     left_names = set(sch.names)
     clash = set(right_value_cols) & left_names
@@ -453,7 +495,7 @@ def asof_join(
     """
     if num_partitions is None:
         num_partitions = derive_num_partitions(left_ds)
-    _check_right_cols(left_ds, right_value_cols, suffix, extra=(ts_col,))
+    _check_right_cols(left_ds.schema(), right_value_cols, suffix, extra=(ts_col,))
     # the matched right ts is part of the output: carry it as an
     # explicit value column (merge_asof consumes the join ts)
     right = right_ds.select_columns(
@@ -545,16 +587,33 @@ def hash_join(
     where one right-side null empties the result): output is the left
     rows and columns unchanged — never multiplied, no joined columns,
     so ``right_value_cols`` must be empty.  Only the right KEY column
-    is read, deduped per batch first.  The path is chosen from its
-    size: a single-column key set is materialized and, when it fits
-    ``DIM_BROADCAST_MAX`` (:func:`dim_ref_adaptive`), broadcast once
-    into a map-side lookup — no shuffle at all; past the bound, and
-    for every composite key, the keys ship through the bucketed
-    exchange below (shuffle bytes bounded by distinct keys per block,
-    not right-side rows).  Both paths give the same output set.
-    ``anti`` is the dedup/decontamination filter shape (every dedup
-    loser filter — dedup_by_pairs, dedup_against_reference,
-    dedup_minhash_incremental — is this call).
+    is read, deduped per batch first.  ``anti`` is the
+    dedup/decontamination filter shape (every dedup loser filter —
+    dedup_by_pairs, dedup_against_reference, dedup_minhash_incremental
+    — is this call).
+
+    Broadcast or bucketed: the join picks its own path, once, before
+    any left-side schema probe, from the size of the prepped right
+    side (:func:`dim_ref_adaptive` against ``DIM_BROADCAST_MAX``):
+
+    * ``semi``/``anti`` on a single-column key: the right side's
+      distinct non-null keys are materialized; when they fit they are
+      broadcast once into a map-side filter — no shuffle at all.
+    * ``inner`` on a single-column key without ``left_group_agg``: the
+      projected right side (key + value columns) is materialized; when
+      it fits AND its keys are unique it is broadcast once and every
+      left batch gets a map-side lookup.  Repeated right keys must
+      multiply left rows, which a lookup cannot, so they keep the
+      exchange, as does every ``left_group_agg`` join (its aggregate
+      lives in the exchange).  On this path the column-collision guard
+      runs before any task when the left schema is known without
+      executing its lineage, else on the first batch; null keys raise
+      on either side, as below.
+    * everything else — past the bound, composite keys, ``left`` /
+      ``right`` / ``full_outer`` — runs the bucketed exchange below
+      (semi/anti ship distinct keys per block, not right-side rows).
+
+    Both paths give the same output set.
 
     Deliberately NOT ``Dataset.join``: in Ray 2.49 a join whose output
     feeds another hash shuffle silently emits zero rows (e.g. the
@@ -573,9 +632,10 @@ def hash_join(
     rows| × num_partitions extra shuffle rows — use for keys whose
     RIGHT side is small but LEFT side is huge (the fact⋈dim skew).
     Only inner/left/semi/anti (outer modes would emit replicated right
-    rows once per bucket — rejected loudly; a broadcast semi/anti
-    filter has no shuffle to salt).  Finding the hot keys is the
-    caller's job (a heavy_hitters pass, or domain knowledge).
+    rows once per bucket — rejected loudly).  The broadcast path wins
+    over it: a map-side lookup has no shuffle to salt.  Finding the
+    hot keys is the caller's job (a heavy_hitters pass, or domain
+    knowledge).
 
     ``left_group_agg`` (exchange fusion): pandas named-agg spec
     ``{out_col: (in_col, how)}`` applied to the LEFT side per key
@@ -647,6 +707,29 @@ def hash_join(
                 return left_ds.map_batches(
                     _key_filter(ref, key_cols[0], how), batch_format="pyarrow"
                 )
+    elif how == "inner" and len(key_cols) == 1 and not left_group_agg:
+        # decided before the left-side schema probe, as for semi/anti;
+        # the collision guard runs here only if the left schema is known
+        # without executing its lineage (else on the first batch)
+        _check_right_cols(
+            left_ds.schema(fetch_if_missing=False), right_value_cols, suffix
+        )
+        ref, right_ds = dim_ref_adaptive(
+            right_ds.select_columns(key_cols + right_value_cols),
+            key_cols[0],
+            right_value_cols,
+        )
+        if ref is not None:
+            import ray
+
+            # a repeated right key must multiply its left rows, which a
+            # lookup cannot: such a side takes the exchange
+            keys = ray.get(ref)[0]
+            if not (keys[1:] == keys[:-1]).any():
+                return left_ds.map_batches(
+                    _key_enrich(ref, key_cols[0], right_value_cols, suffix),
+                    batch_format="pyarrow",
+                )
     if left_ds.schema() is None:
         # a filtered-to-empty lazy left side can be schema-less even
         # after materialize (Ray's aggregate emits zero blocks); the
@@ -690,7 +773,7 @@ def hash_join(
 
         return run_bucket_groups(union, num_partitions, filter_keys)
 
-    _check_right_cols(left_ds, right_value_cols, suffix)
+    _check_right_cols(left_ds.schema(), right_value_cols, suffix)
     right = right_ds.select_columns(key_cols + list(right_value_cols))
     union, left_cols = _union_bucketed(
         left_ds,
@@ -730,11 +813,7 @@ def hash_join(
             l[key_cols].isna().any(axis=None)
             or r[key_cols].isna().any(axis=None)
         ):
-            raise ValueError(
-                f"hash_join: null join keys in {key_cols!r} are unsupported "
-                "(SQL never matches them; pandas would) — filter or fill "
-                "them first"
-            )
+            raise _null_keys_error(key_cols)
         if left_group_agg:
             l = l.groupby(key_cols, as_index=False).agg(**left_group_agg)
         # key-sorted per bucket for output locality; row ORDER among

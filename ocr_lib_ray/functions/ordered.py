@@ -412,8 +412,9 @@ def cohort_retention(events_ds, window_seconds: int = 86_400):
     per-batch np.unique partial, then one two-key groupby; (2) the
     per-user first window as a Min groupby over the SAME pairs; both
     aggregates ride user-keyed shuffles of pair rows, never raw events.
-    The cohort label joins back via the bucketed hash_join and the
-    final matrix is a (cohort, window) count — output is
+    The cohort label joins back via an inner hash_join (a broadcast
+    while the per-user table fits, bucketed past it) and the final
+    matrix is a (cohort, window) count — output is
     windows² rows at most.
     """
     from ray.data.aggregate import Count, Min

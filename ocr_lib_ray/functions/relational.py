@@ -37,11 +37,13 @@ fact⋈fact hash joins (revenue⋈orders on orderkey, revenue⋈customer on
 custkey) and final groupbys over pre-aggregated partials.  lineitem —
 the dominant table — is pre-aggregated to one row per orderkey per
 block BEFORE any join, so the join shuffles ~#orders rows, never
-#lineitems.  Dimension tables that are O(100) rows at EVERY TPC-H
-scale (nation, region) ride a ``ray.put`` broadcast into a vectorized
-``np.searchsorted`` lookup inside ``map_batches`` — never a shuffle.
-``customer`` does NOT get broadcast (it scales with the corpus); it
-goes through the bucketed hash join.
+#lineitems.  Every join here is a :func:`joins.hash_join` call, which
+picks its own path: a single-key inner enrich or semi/anti gate whose
+prepped right side fits ``joins.DIM_BROADCAST_MAX`` (nation, region,
+one nation's suppliers, a region's customers — and ``customer`` itself
+while it is that small) is broadcast once into a map-side lookup; a
+larger side, a repeated right key or a fused ``left_group_agg`` runs
+the bucketed exchange.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import pyarrow.compute as pc
 from ray.data.aggregate import Sum
 
 from .bucket_tasks import exchange_map_groups
-from .joins import dim_lookup, dim_ref_adaptive, hash_join, make_dim_ref
+from .joins import dim_lookup, hash_join, make_dim_ref
 
 
 def cents(col) -> pa.ChunkedArray:
@@ -63,42 +65,6 @@ def cents(col) -> pa.ChunkedArray:
 def pct(col) -> pa.ChunkedArray:
     """2-decimal rate column (discount/tax) → exact int64 whole percent."""
     return pc.round(pc.multiply(col, 100.0), ndigits=0).cast(pa.int64())
-
-
-# --------------------------------------------------------------------------
-# broadcast dimension lookup (the star-join small side)
-# --------------------------------------------------------------------------
-
-
-def broadcast_dim_join(ds, dim_ref, fact_key: str, value_cols: list, how: str = "inner"):
-    """Map-side star join: append ``value_cols`` from a broadcast
-    dimension to every fact row by key lookup.  ``how='inner'`` drops
-    unmatched fact rows; ``'left'`` keeps them with nulls.  No shuffle:
-    this is the scale path for dimensions that fit a worker heap
-    (nation/region are ≤ O(100) rows at any TPC-H scale factor)."""
-    import ray
-
-    if how not in ("inner", "left"):
-        raise ValueError("broadcast_dim_join: how must be 'inner' or 'left'")
-
-    def lookup(batch: pa.Table) -> pa.Table:
-        dim = ray.get(dim_ref)
-        bk = np.asarray(batch.column(fact_key).to_numpy(zero_copy_only=False))
-        mask, pos = dim_lookup(bk, dim)
-        if how == "inner":
-            batch = batch.filter(pa.array(mask))
-            pos = pos[mask]
-            for c in value_cols:
-                batch = batch.append_column(c, dim[1][c].take(pa.array(pos)))
-        else:
-            for c in value_cols:
-                col = dim[1][c].take(pa.array(pos))
-                if not mask.all():
-                    col = pc.if_else(pa.array(mask), col, pa.scalar(None, col.type))
-                batch = batch.append_column(c, col)
-        return batch
-
-    return ds.map_batches(lookup, batch_format="pyarrow")
 
 
 # --------------------------------------------------------------------------
@@ -257,11 +223,13 @@ def star_revenue(
 ):
     """Revenue per nation for customers in ``region_name``, orders in
     [lo_us, hi_us): the star-join shape.  nation⋈region is pre-joined
-    driver-side (≤ 30 rows total at ANY scale) and broadcast; customer
-    broadcasts adaptively when (custkey -> nationkey) fits
-    ``DIM_BROADCAST_MAX`` (one exchange total) and takes the bucketed
-    hash join past the bound.  Output: (n_name, revenue_u4), exact
-    integer units."""
+    driver-side (≤ 30 rows total at ANY scale); it and (custkey ->
+    nationkey) tag the per-block revenue partials through two inner
+    ``hash_join`` calls, each a broadcast while its side fits
+    ``DIM_BROADCAST_MAX`` (one exchange total) and bucketed past it.
+    No per-custkey aggregate is needed before the tags: the driver
+    reduce sums partials per nation, and sums commute.  Output:
+    (n_name, revenue_u4), exact integer units."""
     if num_partitions is None:
         from .joins import derive_num_partitions
 
@@ -284,37 +252,14 @@ def star_revenue(
         ),
         batch_format="pyarrow",
     )
-    # customer is adaptive: (custkey -> nationkey) broadcasts when it
-    # fits DIM_BROADCAST_MAX and the nation tag is map-side on the
-    # rev partials (no per-custkey aggregate needed — the driver
-    # reduce below sums partials per nation, and sums commute); past
-    # the bound the bucketed join runs with the per-custkey aggregate
-    # fused into its exchange (fallback-equality pinned)
-    cust_ref, cust_mat = dim_ref_adaptive(cust, "custkey", ["nationkey"])
-    if cust_ref is not None:
-        with_nation = broadcast_dim_join(
-            rev_cust_partials, cust_ref, "custkey", ["nationkey"], how="inner"
-        ).map_batches(
-            lambda b: b.rename_columns(
-                ["revenue_u4" if c == "rev_u4" else c for c in b.column_names]
-            ),
-            batch_format="pyarrow",
-        )
-    else:
-        with_nation = hash_join(
-            rev_cust_partials,
-            cust_mat,
-            "custkey",
-            right_value_cols=["nationkey"],
-            how="inner",
-            num_partitions=num_partitions,
-            left_group_agg={"revenue_u4": ("rev_u4", "sum")},
-        ).map_batches(
-            lambda b: b.rename_columns(
-                [c[:-2] if c == "nationkey_r" else c for c in b.column_names]
-            ),
-            batch_format="pyarrow",
-        )
+    with_nation = hash_join(
+        rev_cust_partials,
+        cust,
+        "custkey",
+        right_value_cols=["nationkey"],
+        suffix="",
+        num_partitions=num_partitions,
+    )
 
     # driver-side dim prejoin: 25 nations × 5 regions — constant-size
     rk = {
@@ -329,17 +274,25 @@ def star_revenue(
             "n_name": nat.column("n_name"),
         }
     )
-    dim_ref = make_dim_ref(dim, "nationkey", ["n_name"])
-    tagged = broadcast_dim_join(with_nation, dim_ref, "nationkey", ["n_name"], how="inner")
+    import ray.data as rd
+
+    tagged = hash_join(
+        with_nation,
+        rd.from_arrow(dim),
+        "nationkey",
+        right_value_cols=["n_name"],
+        suffix="",
+        num_partitions=num_partitions,
+    )
 
     def part(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
             return pa.table(
                 {"n_name": pa.array([], pa.string()), "rev": pa.array([], pa.int64())}
             )
-        df = b.select(["n_name", "revenue_u4"]).to_pandas()
-        df["revenue_u4"] = df["revenue_u4"].astype(np.int64)
-        g = df.groupby("n_name", sort=False)["revenue_u4"].sum().reset_index()
+        df = b.select(["n_name", "rev_u4"]).to_pandas()
+        df["rev_u4"] = df["rev_u4"].astype(np.int64)
+        g = df.groupby("n_name", sort=False)["rev_u4"].sum().reset_index()
         g.columns = ["n_name", "rev"]
         return pa.Table.from_pandas(g, preserve_index=False)
 
@@ -718,9 +671,9 @@ def large_orders(
     Scale shape: quantity partials per block → one groupby at
     #orders scale → the > min_qty filter shrinks the left side BEFORE
     both joins, so the joins shuffle only qualifying orders; the
-    customer name enrich broadcasts when the name table fits
-    ``DIM_BROADCAST_MAX`` (map-side lookup, no second exchange) and
-    falls back to the bucketed hash join past the bound."""
+    customer name enrich is an inner ``hash_join``, a broadcast while
+    the name table fits ``DIM_BROADCAST_MAX`` (map-side lookup, no
+    second exchange) and bucketed past the bound."""
     if num_partitions is None:
         from .joins import derive_num_partitions
 
@@ -759,15 +712,11 @@ def large_orders(
         orders,
         "orderkey",
         right_value_cols=["custkey", "o_date_us", "total_cents"],
-        how="inner",
+        suffix="",
         num_partitions=num_partitions,
         left_group_agg={"sum_qty": ("qty", "sum")},
     ).map_batches(
-        lambda b: b.filter(
-            pc.greater(b.column("sum_qty"), int(min_qty))
-        )
-        .select(["orderkey", "custkey_r", "o_date_us_r", "total_cents_r", "sum_qty"])
-        .rename_columns(["orderkey", "custkey", "o_date_us", "total_cents", "sum_qty"]),
+        lambda b: b.filter(pc.greater(b.column("sum_qty"), int(min_qty))),
         batch_format="pyarrow",
     )
 
@@ -777,36 +726,15 @@ def large_orders(
         ),
         batch_format="pyarrow",
     )
-    # customer enrich is adaptive: a name table that fits
-    # DIM_BROADCAST_MAX ships once and the enrich is map-side (the
-    # qualifying-order side already paid the only intrinsic exchange);
-    # past the bound the bucketed hash join runs — identical output
-    # (fallback-equality pinned in test_relational.py)
-    cust_ref, cust_mat = dim_ref_adaptive(cust, "custkey", ["c_name"])
-    if cust_ref is not None:
-        return broadcast_dim_join(
-            with_order, cust_ref, "custkey", ["c_name"], how="inner"
-        ).map_batches(
-            lambda b: b.select(
-                ["orderkey", "custkey", "c_name", "o_date_us", "total_cents", "sum_qty"]
-            ),
-            batch_format="pyarrow",
-        )
-    out = hash_join(
+    return hash_join(
         with_order,
-        cust_mat,
+        cust,
         "custkey",
         right_value_cols=["c_name"],
-        how="inner",
+        suffix="",
         num_partitions=num_partitions,
-    )
-    return out.map_batches(
-        lambda b: b.select(
-            ["orderkey", "custkey", "c_name_r", "o_date_us", "total_cents", "sum_qty"]
-        ).rename_columns(
-            ["orderkey", "custkey", "c_name", "o_date_us", "total_cents", "sum_qty"]
-        ),
-        batch_format="pyarrow",
+    ).select_columns(
+        ["orderkey", "custkey", "c_name", "o_date_us", "total_cents", "sum_qty"]
     )
 
 
@@ -1282,21 +1210,19 @@ def nation_volume(
     Scale shape (round-5 restructure): nation (O(25) rows at ANY
     scale) is broadcast onto supplier and customer map-side; the
     supplier side is then FILTERED to the two nations (~2/|nations| of
-    suppliers) — and both filtered dims are ADAPTIVE
-    (``dim_ref_adaptive``): they broadcast when they fit
-    ``DIM_BROADCAST_MAX`` (the common plan pays exactly ONE exchange)
-    and fall back to bucketed hash joins past the bound.  The customer enrich moved OFF the fact chain: orders
-    join the pair-filtered customers in a SIDE BRANCH (one
-    custkey-keyed exchange over the orders table, run CONCURRENTLY
-    with the lineitem⋈supplier exchange by the streaming executor —
-    both joins are 1:1 on their keys, so reordering them preserves the
-    row set), and the per-(orderkey, supp_nation) partials meet the
-    cust_nation-enriched orders in ONE orderkey exchange.  The final
-    |2×2|-sized aggregate is a DRIVER-side reduce of per-block integer
-    partials (the market_share pattern) — no all-to-all for a
-    handful of rows.  supplier/customer/orders all scale with the
-    corpus — every one goes through a bucketed hash join, never a
-    broadcast."""
+    suppliers).  The customer enrich moved OFF the fact chain: orders
+    join the pair-filtered customers in a SIDE BRANCH (run
+    CONCURRENTLY with the lineitem⋈supplier join by the streaming
+    executor — both joins are 1:1 on their keys, so reordering them
+    preserves the row set), and the per-(orderkey, supp_nation)
+    partials meet the cust_nation-enriched orders in ONE orderkey
+    join.  The final |2×2|-sized aggregate is a DRIVER-side reduce of
+    per-block integer partials (the market_share pattern) — no
+    all-to-all for a handful of rows.  supplier/customer/orders all
+    scale with the corpus, so each of the three inner ``hash_join``
+    calls broadcasts only while its filtered side fits
+    ``DIM_BROADCAST_MAX``: past the bound each one is a bucketed
+    exchange."""
     if num_partitions is None:
         from .joins import derive_num_partitions
 
@@ -1335,32 +1261,19 @@ def nation_volume(
         )
 
     li = lineitem_ds.map_batches(li_prep, batch_format="pyarrow")
-    # ADAPTIVE supplier enrich (round 5): two nations' suppliers
-    # usually fit a broadcast — map-side gate+enrich; bucketed join
-    # past DIM_BROADCAST_MAX
-    supp_ref, supp_mat = dim_ref_adaptive(supp, "suppkey", ["supp_nation"])
-    if supp_ref is not None:
-        with_supp = broadcast_dim_join(
-            li, supp_ref, "suppkey", ["supp_nation"], how="inner"
-        ).map_batches(
-            lambda b: b.rename_columns(
-                [c if c != "supp_nation" else "supp_nation_r" for c in b.column_names]
-            ),
-            batch_format="pyarrow",
-        )
-    else:
-        with_supp = hash_join(
-            li,
-            supp_mat,
-            "suppkey",
-            right_value_cols=["supp_nation"],
-            how="inner",
-            num_partitions=num_partitions,
-        )
+    # two nations' suppliers usually fit a broadcast: a map-side
+    # gate+enrich
+    with_supp = hash_join(
+        li,
+        supp,
+        "suppkey",
+        right_value_cols=["supp_nation"],
+        suffix="",
+        num_partitions=num_partitions,
+    )
 
     def order_parts(b: pa.Table) -> pa.Table:
-        df = b.select(["orderkey", "supp_nation_r", "rev_u4"]).to_pandas()
-        df.columns = ["orderkey", "supp_nation", "rev_u4"]
+        df = b.select(["orderkey", "supp_nation", "rev_u4"]).to_pandas()
         g = (
             df.groupby(["orderkey", "supp_nation"], sort=False)["rev_u4"]
             .sum()
@@ -1393,34 +1306,16 @@ def nation_volume(
     # lineitem⋈supplier fact exchange); custkey never ships down the
     # fact stream.  Inner join also GATES orders to the pair's
     # customers, so the orderkey exchange below ships ~2/|nations| of
-    # the per-order partials' join partners.  ADAPTIVE (round 5): the
-    # pair's customers broadcast when they fit — the enrich is then
-    # map-side and the whole query pays ONE exchange.
-    cust_ref, cust_mat = dim_ref_adaptive(cust, "custkey", ["cust_nation"])
-    if cust_ref is not None:
-        enriched = broadcast_dim_join(
-            orders, cust_ref, "custkey", ["cust_nation"], how="inner"
-        ).map_batches(
-            lambda b: b.select(["orderkey", "cust_nation"]),
-            batch_format="pyarrow",
-        )
-    else:
-        enriched = hash_join(
-            orders,
-            cust_mat,
-            "custkey",
-            right_value_cols=["cust_nation"],
-            how="inner",
-            num_partitions=num_partitions,
-        ).map_batches(
-            lambda b: pa.table(
-                {
-                    "orderkey": b.column("orderkey"),
-                    "cust_nation": b.column("cust_nation_r"),
-                }
-            ),
-            batch_format="pyarrow",
-        )
+    # the per-order partials' join partners.  The pair's customers
+    # usually fit a broadcast — the enrich is then map-side.
+    enriched = hash_join(
+        orders,
+        cust,
+        "custkey",
+        right_value_cols=["cust_nation"],
+        suffix="",
+        num_partitions=num_partitions,
+    ).select_columns(["orderkey", "cust_nation"])
 
     def _empty_nv():
         return pa.table(
@@ -1506,7 +1401,7 @@ def market_share(
     Scale shape (round-5 restructure): every dimension side is
     ADAPTIVE — the type's part keys and the region's customer keys
     (semi ``hash_join`` gates) and the supplier ``is_target`` bits
-    (``dim_ref_adaptive``) each broadcast when they fit
+    (an inner ``hash_join`` enrich) each broadcast when they fit
     ``DIM_BROADCAST_MAX`` (they usually do
     even under a 100 TB fact table, so the common plan pays exactly
     ONE exchange: per-order partials ⋈ gated orders) and fall back to
@@ -1578,31 +1473,18 @@ def market_share(
         ).filter(pa.array(mask))
 
     supp = supplier_ds.map_batches(supp_prep, batch_format="pyarrow")
-    # ADAPTIVE supplier enrich: the (suppkey, is_target) side is one
-    # int per supplier — broadcast when it fits, bucketed join past it
-    supp_ref, supp_mat = dim_ref_adaptive(supp, "suppkey", ["is_target"])
-    if supp_ref is not None:
-        with_supp = broadcast_dim_join(
-            li, supp_ref, "suppkey", ["is_target"], how="inner"
-        ).map_batches(
-            lambda b: b.rename_columns(
-                [c if c != "is_target" else "is_target_r" for c in b.column_names]
-            ),
-            batch_format="pyarrow",
-        )
-    else:
-        with_supp = hash_join(
-            li,
-            supp_mat,
-            "suppkey",
-            right_value_cols=["is_target"],
-            how="inner",
-            num_partitions=num_partitions,
-        )
+    # the (suppkey, is_target) side is one int per supplier
+    with_supp = hash_join(
+        li,
+        supp,
+        "suppkey",
+        right_value_cols=["is_target"],
+        suffix="",
+        num_partitions=num_partitions,
+    )
 
     def order_parts(b: pa.Table) -> pa.Table:
-        df = b.select(["orderkey", "is_target_r", "rev_u4"]).to_pandas()
-        df.columns = ["orderkey", "is_target", "rev_u4"]
+        df = b.select(["orderkey", "is_target", "rev_u4"]).to_pandas()
         g = (
             df.groupby(["orderkey", "is_target"], sort=False)["rev_u4"]
             .sum()
@@ -1731,9 +1613,10 @@ def band_revenue(
     lineitem is reduced to (partkey, qty, rev) rows filtered to the
     UNION of all quantity ranges first (a map-only prune that keeps
     only potentially-matching lines), the part side is reduced to the
-    banded brands' keys + brand, and the bucketed hash join carries
-    thin rows; the final band check and (rev, n) reduction are
-    map-only.  No driver-side collection beyond the two scalars."""
+    banded brands' keys + brand, and the inner hash join carries thin
+    rows (a broadcast while those keys fit, bucketed past them); the
+    final band check and (rev, n) reduction are map-only.  No
+    driver-side collection beyond the two scalars."""
     if num_partitions is None:
         from .joins import derive_num_partitions
 

@@ -1,5 +1,6 @@
-"""Forced-bucketed oracle gate: every query whose semi/anti filter or
-label stamp sizes itself through ``joins.dim_ref_adaptive`` must still
+"""Forced-bucketed oracle gate: every query whose semi/anti filter,
+inner enrich join or label stamp sizes itself through
+``joins.dim_ref_adaptive`` and broadcasts on the fixtures must still
 hash-match its DuckDB oracle when the broadcast bound is 0, i.e. on the
 bucketed exchange path that only corpora past ``DIM_BROADCAST_MAX``
 reach.  The driver fixtures are far below the bound, so without this
@@ -25,6 +26,17 @@ QUERIES = [
     "dedup_fuzzy_keep_best",
     "dup_cluster_sizes",
     "dedup_minhash",
+    # inner enrich joins (hash_join how="inner")
+    "band_revenue",
+    "cohort_retention",
+    "doc_embedding_join",
+    "graph_rank",
+    "graph_triangles",
+    "top_supplier",
+    "nation_volume",
+    "market_share",
+    "star_revenue",
+    "large_orders",
 ]
 
 
@@ -58,6 +70,7 @@ def test_bucketed_path_matches_oracle(name, sf_small, oracle_con, monkeypatch):
     monkeypatch.setattr(joins, "DIM_BROADCAST_MAX", 0)
     monkeypatch.setattr(joins, "_union_bucketed", spy("bucketed", joins._union_bucketed))
     monkeypatch.setattr(joins, "_key_filter", spy("broadcast", joins._key_filter))
+    monkeypatch.setattr(joins, "_key_enrich", spy("broadcast", joins._key_enrich))
     got = norm_df(to_pandas(entry.queries()[name](sf_small)))
     want = norm_df(oracle_con.execute(entry.oracle_sql()[name]).df())
     assert calls["bucketed"] > 0 and calls["broadcast"] == 0, calls

@@ -7,6 +7,9 @@
   tasks: no ``ray.remote`` (nor any ``.remote`` submission) appears
   under ``kernel/`` or ``stages/``, so a page always parses inside the
   one task that holds its row.
+* Broadcast or bucketed is decided in ``joins.py``: ``dim_ref_adaptive``
+  is called only there and in dedup's two label stamps, and no other
+  module defines or calls a broadcast-enrich helper.
 """
 
 import ast
@@ -50,3 +53,41 @@ def test_map_groups_only_in_the_exchange_fallback():
 def test_no_nested_ray_tasks_in_kernel_or_stages():
     assert _attribute_sites("remote", "functions")  # the walk does find sites
     assert _attribute_sites("remote", "kernel", "stages") == []
+
+
+#: broadcast-enrich helpers: joins.py's own, and the relational.py one
+#: it replaced
+ENRICH_HELPERS = {"_key_enrich", "broadcast_dim_join"}
+
+
+def _called_name(node) -> str | None:
+    if isinstance(node, ast.Call):
+        f = node.func
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+    return None
+
+
+def test_broadcast_decision_only_in_joins():
+    sized = set()  # (path, top-level function) calling dim_ref_adaptive
+    helpers = []  # (path, line) defining or calling an enrich helper
+    for path in sorted(PACKAGE.rglob("*.py")) + [PACKAGE.parent / "__ray_entry__.py"]:
+        rel = path.relative_to(PACKAGE.parent).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                name = _called_name(node)
+                if name == "dim_ref_adaptive":
+                    sized.add((rel, owner))
+                defined = isinstance(node, ast.FunctionDef) and node.name
+                if rel != "ocr_lib_ray/functions/joins.py" and (
+                    name in ENRICH_HELPERS or defined in ENRICH_HELPERS
+                ):
+                    helpers.append((rel, node.lineno))
+    assert ("ocr_lib_ray/functions/joins.py", "hash_join") in sized
+    outside = {s for s in sized if s[0] != "ocr_lib_ray/functions/joins.py"}
+    assert outside == {
+        ("ocr_lib_ray/functions/dedup.py", "dedup_fuzzy_keep_best"),
+        ("ocr_lib_ray/functions/dedup.py", "dup_cluster_sizes"),
+    }
+    assert helpers == []

@@ -1,11 +1,36 @@
-"""As-of and range join semantics (bucket-partitioned temporal joins)."""
+"""Join semantics: as-of and range joins, and hash_join on both its
+broadcast and bucketed paths."""
 
 import numpy as np
 import pandas as pd
 import pytest
 import ray.data as rd
 
+import ocr_lib_ray.functions.joins as joins
 from ocr_lib_ray.functions.joins import asof_join, range_join_count
+
+#: the broadcast bound at its default, then 0 (every join bucketed)
+BOUNDS = (joins.DIM_BROADCAST_MAX, 0)
+
+
+def _path_spy(monkeypatch, bound) -> dict:
+    """Set ``joins.DIM_BROADCAST_MAX`` to ``bound`` and count what ran:
+    the size decision (``dim_ref_adaptive``), the bucketed union and
+    the broadcast inner enrich."""
+    monkeypatch.setattr(joins, "DIM_BROADCAST_MAX", bound)
+    calls = {"sized": 0, "bucketed": 0, "broadcast": 0}
+    for key, name in (
+        ("sized", "dim_ref_adaptive"),
+        ("bucketed", "_union_bucketed"),
+        ("broadcast", "_key_enrich"),
+    ):
+
+        def wrapped(*a, _fn=getattr(joins, name), _key=key, **kw):
+            calls[_key] += 1
+            return _fn(*a, **kw)
+
+        monkeypatch.setattr(joins, name, wrapped)
+    return calls
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -173,10 +198,13 @@ def test_asof_join_dtype_stable_when_every_row_matches():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_hash_join_inner_and_left_match_pandas():
-    """Bucketed equi-join == pandas merge on a key set with unmatched
-    rows on both sides and a multiplying right key, at two partition
-    counts (bucketing must not leak into the result)."""
+def test_hash_join_inner_and_left_match_pandas(monkeypatch):
+    """Equi-join == pandas merge on a key set with unmatched rows on
+    both sides, with and without a multiplying right key, at two
+    partition counts (bucketing must not leak into the result) and at
+    both broadcast bounds.  Only an inner join on unique right keys
+    under the default bound broadcasts: the repeated key 2 and every
+    left join take the bucketed exchange."""
     import pandas as pd
     import ray.data as rd
 
@@ -184,26 +212,34 @@ def test_hash_join_inner_and_left_match_pandas():
 
     left = pd.DataFrame({"k": [1, 2, 3, 4, 4], "lv": [10, 20, 30, 40, 41]})
     right = pd.DataFrame({"k": [2, 2, 4, 9], "rv": [200, 201, 400, 900]})
-    for how in ("inner", "left"):
-        want = pd.merge(left, right.rename(columns={"rv": "rv_r"}), on="k", how=how)
-        if how == "left":
-            want["rv_r"] = want["rv_r"].astype("float64")
-        want = want.sort_values(["k", "lv"]).reset_index(drop=True)
-        for nparts in (1, 5):
-            got = (
-                hash_join(
-                    rd.from_pandas(left).repartition(2),
-                    rd.from_pandas(right),
-                    "k",
-                    ["rv"],
-                    how=how,
-                    num_partitions=nparts,
-                )
-                .to_pandas()
-                .sort_values(["k", "lv"])
-                .reset_index(drop=True)
-            )
-            pd.testing.assert_frame_equal(got[want.columns.tolist()], want)
+    unique = right.drop_duplicates("k")
+    for bound in BOUNDS:
+        for how in ("inner", "left"):
+            for r in (right, unique):
+                want = pd.merge(left, r.rename(columns={"rv": "rv_r"}), on="k", how=how)
+                if how == "left":
+                    want["rv_r"] = want["rv_r"].astype("float64")
+                want = want.sort_values(["k", "lv"]).reset_index(drop=True)
+                broadcast = bound > 0 and how == "inner" and r is unique
+                for nparts in (1, 5):
+                    calls = _path_spy(monkeypatch, bound)
+                    got = (
+                        hash_join(
+                            rd.from_pandas(left).repartition(2),
+                            rd.from_pandas(r),
+                            "k",
+                            ["rv"],
+                            how=how,
+                            num_partitions=nparts,
+                        )
+                        .to_pandas()
+                        .sort_values(["k", "lv"])
+                        .reset_index(drop=True)
+                    )
+                    monkeypatch.undo()
+                    assert calls["broadcast"] == int(broadcast), (bound, how, calls)
+                    assert calls["bucketed"] == int(not broadcast), (bound, how, calls)
+                    pd.testing.assert_frame_equal(got[want.columns.tolist()], want)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -268,7 +304,11 @@ def test_hash_join_semi_anti(monkeypatch):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_hash_join_guards():
+def test_hash_join_guards(monkeypatch):
+    """A right value column colliding with a left column fails before
+    any task when the left schema is known without execution; on a
+    lazy left side it fails at the schema probe (bucketed) or on the
+    first batch (broadcast)."""
     import pandas as pd
     import pytest as pt
     import ray.data as rd
@@ -277,17 +317,27 @@ def test_hash_join_guards():
 
     l = rd.from_pandas(pd.DataFrame({"k": [1], "v": [1]}))
     r = rd.from_pandas(pd.DataFrame({"k": [1], "v": [2]}))
-    with pt.raises(ValueError, match="collide"):
-        hash_join(l, r, "k", ["v"])
-    with pt.raises(ValueError, match="how"):
-        hash_join(l, r, "k", ["w"], how="outer")
+    lazy = l.map_batches(lambda b: b, batch_format="pyarrow")
+    for bound in BOUNDS:
+        calls = _path_spy(monkeypatch, bound)
+        with pt.raises(ValueError, match="collide"):
+            hash_join(l, r, "k", ["v"])
+        assert calls == {"sized": 0, "bucketed": 0, "broadcast": 0}, calls
+        with pt.raises(ValueError, match="how"):
+            hash_join(l, r, "k", ["w"], how="outer")
+        with pt.raises(Exception, match="collide"):
+            hash_join(lazy, r, "k", ["v"]).materialize()
+        assert calls["bucketed"] == 0 and calls["broadcast"] == int(bound > 0), calls
+        monkeypatch.undo()
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_hash_join_suffixed_collision_and_string_left():
+def test_hash_join_suffixed_collision_and_string_left(monkeypatch):
     """A left column named <col>+suffix fails up front (not as a
-    KeyError in a Ray task); left-join with a STRING right column keeps
-    object dtype with NaN holes."""
+    KeyError in a Ray task), on both paths, before any task when the
+    left schema is known and on the first broadcast batch when it is
+    not; left-join with a STRING right column keeps object dtype with
+    NaN holes."""
     import pandas as pd
     import pytest as pt
     import ray.data as rd
@@ -296,8 +346,16 @@ def test_hash_join_suffixed_collision_and_string_left():
 
     l = rd.from_pandas(pd.DataFrame({"k": [1], "rv_r": [5]}))
     r = rd.from_pandas(pd.DataFrame({"k": [1], "rv": [7]}))
-    with pt.raises(ValueError, match="suffixed"):
-        hash_join(l, r, "k", ["rv"])
+    for bound in BOUNDS:
+        calls = _path_spy(monkeypatch, bound)
+        with pt.raises(ValueError, match="suffixed"):
+            hash_join(l, r, "k", ["rv"])
+        assert calls == {"sized": 0, "bucketed": 0, "broadcast": 0}, calls
+        lazy = l.map_batches(lambda b: b, batch_format="pyarrow")
+        with pt.raises(Exception, match="suffixed"):
+            hash_join(lazy, r, "k", ["rv"]).materialize()
+        assert calls["bucketed"] == 0 and calls["broadcast"] == int(bound > 0), calls
+        monkeypatch.undo()
 
     left = rd.from_pandas(pd.DataFrame({"k": [1, 2], "lv": [10, 20]}))
     right = rd.from_pandas(pd.DataFrame({"k": [1], "name": ["x"]}))
@@ -362,9 +420,11 @@ def test_hash_join_right_and_full_outer_match_duckdb():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_hash_join_null_keys_raise():
+def test_hash_join_null_keys_raise(monkeypatch):
     """SQL never matches NULL join keys; pandas merge would match NaN
-    to NaN — the join raises instead of silently diverging."""
+    to NaN — the join raises instead of silently diverging, for a null
+    on either side and on both paths: the broadcast enrich on a null
+    left key, its size decision on a null right key."""
     import pandas as pd
     import pytest as pt
     import ray.data as rd
@@ -373,14 +433,26 @@ def test_hash_join_null_keys_raise():
 
     left = pd.DataFrame({"k": [1.0, None], "lv": [10, 20]})
     right = pd.DataFrame({"k": [1.0, None], "rv": [100, 200]})
-    with pt.raises(Exception, match="null join keys"):
-        hash_join(
-            rd.from_pandas(left), rd.from_pandas(right), "k", ["rv"], how="inner"
-        ).materialize()
+    ok_left = pd.DataFrame({"k": [1.0, 2.0], "lv": [10, 20]})
+    ok_right = pd.DataFrame({"k": [1.0, 2.0], "rv": [100, 200]})
+    for bound in BOUNDS:
+        for l, r, broadcast in (
+            (left, right, False),
+            (left, ok_right, bound > 0),
+            (ok_left, right, False),
+        ):
+            calls = _path_spy(monkeypatch, bound)
+            with pt.raises(Exception, match="null join keys"):
+                hash_join(
+                    rd.from_pandas(l), rd.from_pandas(r), "k", ["rv"], how="inner"
+                ).materialize()
+            monkeypatch.undo()
+            assert calls["broadcast"] == int(broadcast), (bound, calls)
+            assert calls["bucketed"] == int(bound == 0), (bound, calls)
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_hash_join_composes_over_join_output():
+def test_hash_join_composes_over_join_output(monkeypatch):
     """Regression: a hash_join whose RIGHT side is another join's
     output (semi → inner here) used to poison the union schema — Ray's
     schema() on the internal select_columns Project over the lazy
@@ -409,9 +481,16 @@ def test_hash_join_composes_over_join_output():
             {"k": pa.array([1, 3], pa.int64()), "r": pa.array([100, 300], pa.int64())}
         )
     )
-    out = hash_join(rev, semi, "k", right_value_cols=["d"], how="inner", num_partitions=2)
-    rows = sorted((r["k"], r["r"], r["d_r"]) for r in out.take_all())
-    assert rows == [(1, 100, 5), (3, 300, 7)]
+    for bound in BOUNDS:
+        calls = _path_spy(monkeypatch, bound)
+        out = hash_join(
+            rev, semi, "k", right_value_cols=["d"], how="inner", num_partitions=2
+        )
+        rows = sorted((r["k"], r["r"], r["d_r"]) for r in out.take_all())
+        monkeypatch.undo()
+        assert rows == [(1, 100, 5), (3, 300, 7)]
+        assert calls["broadcast"] == int(bound > 0), calls
+        assert calls["bucketed"] == int(bound == 0), calls
 
 
 @pytest.mark.usefixtures("ray_session")

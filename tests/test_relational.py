@@ -67,39 +67,6 @@ def test_order_priority_matches_duckdb():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_broadcast_dim_join_inner_and_left():
-    import ray.data as rd
-
-    from ocr_lib_ray.functions.relational import broadcast_dim_join, make_dim_ref
-
-    fact = rd.from_arrow(
-        pa.table({"k": pa.array([1, 2, 3, 2, 9], pa.int64()), "v": [10, 20, 30, 40, 50]})
-    )
-    dim = pa.table(
-        {"k": pa.array([2, 1, 3], pa.int64()), "name": ["b", "a", "c"]}
-    )
-    ref = make_dim_ref(dim, "k", ["name"])
-
-    inner = (
-        broadcast_dim_join(fact, ref, "k", ["name"], how="inner")
-        .to_pandas()
-        .sort_values(["k", "v"])
-        .reset_index(drop=True)
-    )
-    assert inner["k"].tolist() == [1, 2, 2, 3]
-    assert inner["name"].tolist() == ["a", "b", "b", "c"]
-
-    left = (
-        broadcast_dim_join(fact, ref, "k", ["name"], how="left")
-        .to_pandas()
-        .sort_values(["k", "v"])
-        .reset_index(drop=True)
-    )
-    assert len(left) == 5
-    assert left.loc[left["k"] == 9, "name"].isna().all()
-
-
-@pytest.mark.usefixtures("ray_session")
 def test_pricing_summary_batch_size_invariance():
     """Integer partial sums commute: tiny blocks give the same bytes."""
     import ray.data as rd
