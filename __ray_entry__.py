@@ -479,14 +479,13 @@ def _q_winnow_fingerprint(sf_dir: str):
 
 
 def _q_dedup_exact(sf_dir: str):
-    from ray.data.aggregate import Min
+    from ocr_lib_ray.functions.bucket_tasks import exchange_aggregate
     from ocr_lib_ray.functions.text_stats import fingerprint_batch
 
-    return (
-        _docs(sf_dir)
-        .map_batches(fingerprint_batch, batch_format="pyarrow")
-        .groupby("fingerprint")
-        .aggregate(Min("doc_id", alias_name="doc_id"))
+    return exchange_aggregate(
+        _docs(sf_dir).map_batches(fingerprint_batch, batch_format="pyarrow"),
+        "fingerprint",
+        [("doc_id", "min", "doc_id")],
     )
 
 

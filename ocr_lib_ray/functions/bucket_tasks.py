@@ -4,9 +4,11 @@ Ray Data's ``groupby(key).map_groups`` pays a full sort-shuffle barrier
 (~seconds of fixed latency at any data size) EVERY time it runs.  Here
 a dataset is exchanged into ``num_partitions`` buckets by two task
 waves — a per-block split, then a per-bucket merge — with nothing
-landing on the driver but refs and row counts.
+landing on the driver but refs and per-bucket row counts.
 
 * :func:`exchange_to_bucket_refs` is the two-wave implementation.
+  Wave 1 also returns each block's per-bucket row counts; the driver
+  reads them and starts merge tasks only for the buckets they fill.
   Iterative algorithms (PageRank) call it directly: their state is
   exchanged ONCE into per-bucket ``ObjectRef``s and every iteration
   then runs as task waves over those refs with NO further shuffles.
@@ -19,6 +21,10 @@ landing on the driver but refs and row counts.
   width gate (:func:`fits_task_exchange`), the pandas-frame adapter and
   the only sort-shuffle fallback, ``ds.groupby(key).map_groups(fn)``.
   ``joins.run_bucket_groups`` is its form for a bucket-id column.
+* :func:`exchange_aggregate` is the grouped Sum/Min/Max/Count over it,
+  in place of Ray Data's sort-shuffle ``groupby(key).aggregate``: wave
+  1 pre-aggregates each block (a combiner), wave 2 combines the
+  partials.
 
 Partitioning assumption (documented per the custom-operator rule): one
 bucket's rows must fit one task — ``num_partitions`` comes from
@@ -62,15 +68,20 @@ def exchange_to_bucket_refs(
     * wave 1 — one task per input block: ``pre_fn`` (optional) trims
       the block, ``bucket_fn(table) -> np.ndarray[int]`` assigns each
       row a bucket, and the block splits into ``num_partitions``
-      sub-tables (``num_returns=P`` so each sub-table is an
+      sub-tables (``num_returns=P + 1`` so each sub-table is an
       independently fetchable ref — bucket *b*'s merge task pulls ONLY
-      its own slices, never whole blocks).
-    * wave 2 — one task per bucket: concat the per-block slices and
-      apply ``merge_fn`` (default: return the concat table).
+      its own slices, never whole blocks).  The last return is the
+      block's per-bucket row counts.
+    * the driver fetches those P-int arrays (the exchange's map-side
+      statistics) and starts wave 2 only for the buckets they fill.
+    * wave 2 — one task per non-empty bucket: concat the per-block
+      slices and apply ``merge_fn`` (default: return the concat table).
+      Every empty bucket shares ONE result: ``merge_fn`` run on the
+      driver over block 0's (zero-row) slice of the first empty bucket.
 
     Returns ``(refs, rows)``: per bucket, a ref to ``merge_fn``'s result
-    and a ref to the bucket's input row count, so a caller can drop
-    empty buckets after fetching P small ints.
+    (P positional refs, empty buckets included) and the bucket's input
+    row count as an int.
     """
     import ray
     from ray.data.block import BlockAccessor
@@ -95,7 +106,7 @@ def exchange_to_bucket_refs(
             return (merge_fn(t) if merge_fn is not None else t), t.num_rows
 
         ref, rows = merge_all.remote(*block_refs)
-        return [ref], [rows]
+        return [ref], [ray.get(rows)]
 
     @ray.remote
     def split(tbl: pa.Table):
@@ -105,25 +116,32 @@ def exchange_to_bucket_refs(
         if tbl.num_rows == 0:
             # map_groups upstream can emit SCHEMA-LESS empty blocks
             # (the known Ray quirk) — never hand those to bucket_fn
-            return tuple([tbl] * num_partitions)
+            return (*[tbl] * num_partitions, np.zeros(num_partitions, np.int64))
         bk = np.asarray(bucket_fn(tbl), dtype=np.int64)
-        return tuple(split_table_by_bucket(tbl, bk, num_partitions))
+        parts = split_table_by_bucket(tbl, bk, num_partitions)
+        return (*parts, np.array([p.num_rows for p in parts], np.int64))
 
-    @ray.remote(num_returns=2)
+    @ray.remote
     def merge(*parts):
-        live = [p for p in parts if p.num_rows > 0]
-        # wave 1 always emits P slices, so parts[0] is a typed empty
-        t = pa.concat_tables(live, promote_options="default") if live else parts[0]
-        return (merge_fn(t) if merge_fn is not None else t), t.num_rows
+        t = pa.concat_tables(
+            [p for p in parts if p.num_rows > 0], promote_options="default"
+        )
+        return merge_fn(t) if merge_fn is not None else t
 
     waves = [
-        split.options(num_returns=num_partitions).remote(ref) for ref in block_refs
+        split.options(num_returns=num_partitions + 1).remote(ref) for ref in block_refs
     ]
-    pairs = [
-        merge.remote(*[waves[i][b] for i in range(len(waves))])
-        for b in range(num_partitions)
-    ]
-    return [ref for ref, _ in pairs], [rows for _, rows in pairs]
+    rows = np.sum(ray.get([w[-1] for w in waves]), axis=0).tolist()
+    refs, empty = [], None
+    for b, n in enumerate(rows):
+        if n:
+            refs.append(merge.remote(*[w[b] for w in waves]))
+            continue
+        if empty is None:
+            t = ray.get(waves[0][b])
+            empty = ray.put(merge_fn(t) if merge_fn is not None else t)
+        refs.append(empty)
+    return refs, rows
 
 
 #: past this exchange width the driver-side O(blocks x P) ref fan of
@@ -135,6 +153,14 @@ def fits_task_exchange(num_partitions: int) -> bool:
     """The one width gate: True when the raw two-wave exchange beats
     the Dataset sort shuffle at this width."""
     return num_partitions <= TASK_EXCHANGE_MAX_PARTITIONS
+
+
+def _materialized_width(ds):
+    """``ds`` materialized, and the default exchange width over it:
+    ``derive_num_partitions`` of its exact row count capped at its
+    block count (at most one bucket per input block)."""
+    ds = ds.materialize()
+    return ds, max(1, min(derive_num_partitions(ds), ds.num_blocks()))
 
 
 def split_by_key(tbl: pa.Table, cols: list) -> list:
@@ -172,11 +198,10 @@ def exchange_map_groups(
     ``group_fn`` takes and returns a ``pa.Table``, or pandas frames
     with ``batch_format="pandas"``.  ``pre_fn`` (optional) runs inside
     the split task (e.g. a tag filter + column prune, so only the
-    exchanged rows ship).  The driver drops empty buckets by the row
-    counts the merge tasks return; if all are empty the result is one
-    zero-row block typed by ``group_fn``'s output on the empty bucket-0
-    table (probed on the driver), or by that table if ``group_fn``
-    rejects it.
+    exchanged rows ship).  Empty buckets start no merge task and are
+    left out; if all are empty the result is one zero-row block typed
+    by ``group_fn``'s output on the empty bucket-0 table (probed on the
+    driver), or by that table if ``group_fn`` rejects it.
 
     ``num_partitions`` (required with a bucket fn) defaults to
     ``joins.derive_num_partitions`` of the materialized ``ds`` (its
@@ -193,8 +218,7 @@ def exchange_map_groups(
     import ray.data as rd
 
     if num_partitions is None:
-        ds = ds.materialize()
-        num_partitions = max(1, min(derive_num_partitions(ds), ds.num_blocks()))
+        ds, num_partitions = _materialized_width(ds)
 
     def fn(t: pa.Table) -> pa.Table:
         if batch_format == "pyarrow":
@@ -246,7 +270,7 @@ def exchange_map_groups(
         merge_fn=lambda t: merge_fn(t) if t.num_rows else t,
         pre_fn=pre_fn,
     )
-    live = [ref for ref, n in zip(refs, ray.get(rows)) if n]
+    live = [ref for ref, n in zip(refs, rows) if n]
     if live:
         return rd.from_arrow_refs(live)
     empty = ray.get(refs[0])
@@ -257,3 +281,66 @@ def exchange_map_groups(
         # fail in any way on this probe; the input-typed block stands in
         pass
     return rd.from_arrow(empty)
+
+
+#: wave 2's combine of each wave-1 partial: counts and sums add up,
+#: minima and maxima stay minima and maxima
+_COMBINE = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
+
+
+def _group_aggregate(t: pa.Table, cols: list, aggs: list) -> pa.Table:
+    """``t`` grouped by ``cols`` with pyarrow's hash aggregates, one
+    output column per ``(column, op, alias)`` of ``aggs`` ("count"
+    counts rows): columns ``[*cols, *aliases]``."""
+    specs = [([], "count_all") if op == "count" else (col, op) for col, op, _ in aggs]
+    names = ["count_all" if op == "count" else f"{col}_{op}" for col, op, _ in aggs]
+    out = t.group_by(cols, use_threads=False).aggregate(specs)
+    return out.select([*cols, *names]).rename_columns(
+        [*cols, *(alias for _, _, alias in aggs)]
+    )
+
+
+def exchange_aggregate(ds, key, aggs: list):
+    """``ds.groupby(key).aggregate(...)`` as a combiner hash aggregate
+    over the two-wave exchange.
+
+    ``key`` is a column name or list of names; ``aggs`` is a list of
+    ``(column, op, alias)`` with ``op`` one of "sum", "min", "max" and
+    "count" (rows per group, nulls included, as Ray's ``Count()``;
+    pass column None).  Sum, min and max skip nulls as Ray's do (an
+    all-null group's is null), and null keys form one group.
+
+    * wave 1 (``pre_fn``): each block pre-aggregates with pyarrow's
+      ``Table.group_by``, so one row per distinct key per block ships,
+      hashed to its bucket by ``joins._key_buckets``;
+    * wave 2 (the group fn, once per non-empty bucket): the partials
+      combine — sums and counts add, minima and maxima stay.
+
+    Width: :func:`exchange_map_groups`'s default
+    (``min(derive_num_partitions(ds), ds.num_blocks())`` of the
+    materialized ``ds``), so past :data:`TASK_EXCHANGE_MAX_PARTITIONS`
+    the same call runs through its sort-shuffle fallback.  Executes
+    ``ds``'s lineage now.  Returns ``[*key, *aliases]`` columns, one
+    row per group, in no particular order (Ray's sort-based aggregate
+    sorts by key); a zero-row input gives one zero-row block of that
+    schema.
+    """
+    cols = [key] if isinstance(key, str) else list(key)
+    combine = [(alias, _COMBINE[op], alias) for _, op, alias in aggs]
+
+    def partial(t: pa.Table) -> pa.Table:
+        return _group_aggregate(t, cols, aggs)
+
+    def merge(t: pa.Table) -> pa.Table:
+        # a zero-row table here is the driver's all-empty probe: the raw
+        # input, which wave 1 never pre-aggregated
+        return _group_aggregate(t if t.num_rows else partial(t), cols, combine)
+
+    ds, num_partitions = _materialized_width(ds)
+    return exchange_map_groups(
+        ds,
+        lambda t: _key_buckets(t, cols, num_partitions),
+        merge,
+        num_partitions,
+        pre_fn=partial,
+    )

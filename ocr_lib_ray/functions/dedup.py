@@ -2,14 +2,18 @@
 
 Four families, each Ray-Data-first and shuffle-conscious:
 
-* exact          — content-hash key → groupby(key) → min doc_id.  One
-                   shuffle on the hash key; the map side is vectorized.
+* exact          — content-hash key → min doc_id per key: one
+                   combiner exchange on the hash key
+                   (``bucket_tasks.exchange_aggregate``); the map side
+                   is vectorized.
 * minhash-LSH    — shingle → minhash signature (numpy, per batch) →
                    explode to (band, band_hash, doc_id, signature) rows →
-                   groupby(band, band_hash) → candidate pairs verified
+                   one (band, bucket) exchange → candidate pairs verified
                    IN-GROUP from the carried signatures (estimated
                    Jaccard), so verification needs no broadcast and no
-                   second join — scalable to 10^12 docs.
+                   second join — scalable to 10^12 docs.  A pair found
+                   in several bands keeps its max estimate (a combiner
+                   exchange on (d1, d2)).
 * simhash        — 64-bit fingerprint; band buckets (4×16 bits ⇒ any
                    pair with hamming ≤ 3 shares a band) → in-group
                    hamming verify.
@@ -33,7 +37,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .bucket_tasks import exchange_map_groups
+from .bucket_tasks import exchange_aggregate, exchange_map_groups
 from .joins import derive_num_partitions, dim_lookup, dim_ref_adaptive, hash_join
 from .text_stats import normalize_expr
 
@@ -95,15 +99,11 @@ def _stable_token_hashes(tokens) -> np.ndarray:
     """md5 lower 64 bits little-endian per token (stable across
     runs/processes AND byte-equal to DuckDB ``md5_number_lower`` — the
     minhash_pairs SQL-oracle parity requirement; was crc32, switched
-    round 3: 64-bit hashes also shrink shingle collisions)."""
-    return np.fromiter(
-        (
-            int.from_bytes(hashlib.md5(t.encode("utf-8")).digest()[8:], "little")
-            for t in tokens
-        ),
-        dtype=np.uint64,
-        count=len(tokens),
-    )
+    round 3: 64-bit hashes also shrink shingle collisions): the
+    digests are joined once and read as little-endian uint64 pairs,
+    keeping each second half."""
+    digests = b"".join(hashlib.md5(t.encode("utf-8")).digest() for t in tokens)
+    return np.frombuffer(digests, dtype="<u8")[1::2].astype(np.uint64)
 
 
 def shingle_hashes(text: str, n: int) -> np.ndarray:
@@ -183,10 +183,11 @@ def minhash_band_rows(
     for doc_id, text in zip(ids, norm):
         sig = hasher.signature(text)
         sig_bytes = sig.tobytes()
+        vals = [str(v) for v in sig.tolist()]
         for b in range(bands):
             # band key = md5-lower64 of the comma-joined band values
             # (mod 2^32) — DuckDB-reproducible (was crc32 of raw bytes)
-            chunk = ",".join(str(v) for v in sig[b * rows_per_band : (b + 1) * rows_per_band])
+            chunk = ",".join(vals[b * rows_per_band : (b + 1) * rows_per_band])
             out_band.append(b)
             out_hash.append(
                 int.from_bytes(hashlib.md5(chunk.encode()).digest()[8:], "little")
@@ -343,8 +344,6 @@ def minhash_lsh_pairs(
     hasher = MinHasher(num_perm=num_perm, shingle_n=shingle_n, seed=seed)
     if group_buckets is None:
         group_buckets = derive_group_buckets(docs_ds, approx_rows)
-    from ray.data.aggregate import Max
-
     P = derive_num_partitions(docs_ds, approx_rows=approx_rows)
     if carry_signatures:
         band_rows = docs_ds.map_batches(
@@ -360,8 +359,8 @@ def minhash_lsh_pairs(
             batch_format="pandas",
         )
         # a pair can surface in several bands → keep one row (max estimate)
-        return pairs.groupby(["d1", "d2"]).aggregate(
-            Max("est_jaccard", alias_name="est_jaccard")
+        return exchange_aggregate(
+            pairs, ["d1", "d2"], [("est_jaccard", "max", "est_jaccard")]
         )
 
     band_rows = docs_ds.map_batches(
@@ -513,7 +512,7 @@ def expand_components(pairs_ds, max_component: int = 100_000):
     )
 
     def clique(g: pd.DataFrame) -> pd.DataFrame:
-        ids = np.sort(g["member"].unique())
+        ids = np.unique(g["member"].to_numpy())
         iu, ju = np.triu_indices(len(ids), 1)
         return pd.DataFrame({"d1": ids[iu], "d2": ids[ju]}).astype(
             {"d1": "int64", "d2": "int64"}
@@ -1087,8 +1086,6 @@ def simhash_pairs(
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    from ray.data.aggregate import Min
-
     P = derive_num_partitions(docs_ds, approx_rows=approx_rows)
     pairs = exchange_map_groups(
         rows,
@@ -1098,7 +1095,7 @@ def simhash_pairs(
         batch_format="pandas",
     )
 
-    return pairs.groupby(["d1", "d2"]).aggregate(Min("hamming", alias_name="hamming"))
+    return exchange_aggregate(pairs, ["d1", "d2"], [("hamming", "min", "hamming")])
 
 
 # --- exact n-gram Jaccard (inverted-index verifier) ------------------------
@@ -1170,53 +1167,67 @@ def ngram_jaccard_pairs(docs_ds, n: int = 3, threshold: float = 0.5, max_docs: i
     """Exact all-pairs token-set Jaccard (d1 < d2, jaccard ≥ threshold,
     ``0 < threshold``).
 
-    Shingling runs DISTRIBUTED in map_batches; the driver collects only
-    the compact (doc_id, hashes) rows, builds one :class:`ShingleIndex`
-    and ships it once with ``ray.put`` (guarded at ``max_docs``).  Each
-    batch then verifies against the index
+    Shingling runs DISTRIBUTED in map_batches, once per document: the
+    compact (doc_id, hashes) rows are materialized, the driver reads
+    them to build one :class:`ShingleIndex` and ships it once with
+    ``ray.put`` (guarded at ``max_docs``).  Each batch of the same rows
+    then verifies against the index
     (:func:`ngram_jaccard_pairs_batch`): the cost is proportional to the
     co-occurring shingle pairs, not to all n² doc pairs.  Worst case —
     every doc shares every shingle — that is n²·|set| rows, in bounded
     memory; use :func:`minhash_lsh_pairs` at scale.
     """
-    import pyarrow.compute as pc
     import ray
 
     _check_jaccard_threshold(threshold)
-
-    def shingle_rows(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        norm = normalize_expr(batch.column("text")).to_pylist()
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids, pa.int64()),
-                pa.array(
-                    [shingle_hashes(t, n).tolist() for t in norm],
-                    pa.list_(pa.uint64()),
-                ),
-            ],
-            names=["doc_id", "hashes"],
-        )
-
+    shingled = docs_ds.map_batches(
+        lambda b: shingle_rows(b, n), batch_format="pyarrow", zero_copy_batch=True
+    ).materialize()
     ids, sizes, values = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.uint64)]
     seen: set = set()
-    for b in docs_ds.map_batches(
-        shingle_rows, batch_format="pyarrow", zero_copy_batch=True
-    ).iter_batches(batch_format="pyarrow"):
-        hashes = b.column("hashes").combine_chunks()
-        ids.append(b.column("doc_id").to_numpy())
-        sizes.append(pc.list_value_length(hashes).to_numpy())
-        values.append(hashes.flatten().to_numpy())
-        seen.update(ids[-1].tolist())
+    for b in shingled.iter_batches(batch_format="pyarrow"):
+        b_ids, b_sizes, b_values = _shingle_columns(b)
+        ids.append(b_ids)
+        sizes.append(b_sizes)
+        values.append(b_values)
+        seen.update(b_ids.tolist())
         if len(seen) > max_docs:
             raise ValueError(
                 f"ngram_jaccard_pairs is the exact small-corpus verifier "
                 f"(> {max_docs} docs); use minhash_lsh_pairs at scale"
             )
     ref = ray.put(_shingle_index(*map(np.concatenate, (ids, sizes, values))))
-    return docs_ds.map_batches(
+    return shingled.map_batches(
         lambda b: ngram_jaccard_pairs_batch(b, ref, n, threshold),
         batch_format="pyarrow",
+    )
+
+
+def shingle_rows(batch: pa.Table, n: int) -> pa.Table:
+    """(doc_id, text) batch → (doc_id, hashes): each doc's distinct
+    shingle hashes (:func:`shingle_hashes` of its normalized text)."""
+    ids = batch.column("doc_id").to_pylist()
+    norm = normalize_expr(batch.column("text")).to_pylist()
+    return pa.Table.from_arrays(
+        [
+            pa.array(ids, pa.int64()),
+            pa.array(
+                [shingle_hashes(t, n).tolist() for t in norm], pa.list_(pa.uint64())
+            ),
+        ],
+        names=["doc_id", "hashes"],
+    )
+
+
+def _shingle_columns(batch: pa.Table):
+    """(ids, set sizes, concatenated hashes) of a (doc_id, hashes) batch."""
+    import pyarrow.compute as pc
+
+    hashes = batch.column("hashes").combine_chunks()
+    return (
+        np.asarray(batch.column("doc_id").to_numpy(), np.int64),
+        np.asarray(pc.list_value_length(hashes).to_numpy(), np.int64),
+        np.asarray(hashes.flatten().to_numpy(), np.uint64),
     )
 
 
@@ -1241,7 +1252,10 @@ def ngram_jaccard_pairs_batch(batch: pa.Table, index_ref, n: int, threshold: flo
     """Per-batch exact Jaccard of each doc vs every LARGER doc_id of the
     index that shares a shingle with it.
 
-    ``index_ref`` is a ``ray.put`` :class:`ShingleIndex` — shipped once
+    ``batch`` holds ``doc_id`` and either ``text`` (shingled here) or
+    ``hashes`` (:func:`shingle_rows`, what ``ngram_jaccard_pairs``
+    passes: it shingles every doc once).  ``index_ref`` is a
+    ``ray.put`` :class:`ShingleIndex` — shipped once
     per task/actor, not per batch (a ShingleIndex or a plain
     ``{doc_id: shingle-hash ndarray}`` dict is accepted for unit tests).
     Each query shingle's postings are a ``searchsorted`` range of the
@@ -1254,12 +1268,15 @@ def ngram_jaccard_pairs_batch(batch: pa.Table, index_ref, n: int, threshold: flo
     """
     _check_jaccard_threshold(threshold)
     index = _resolve_index(index_ref)
-    ids = np.asarray(batch.column("doc_id").to_pylist(), dtype=np.int64)
-    norm = normalize_expr(batch.column("text")).to_pylist()
-    mine = [shingle_hashes(t, n) for t in norm]
-    q_sizes = np.array([m.size for m in mine], dtype=np.int64)
-    q_hash = np.concatenate(mine) if mine else np.empty(0, np.uint64)
-    q_doc = np.repeat(np.arange(len(mine), dtype=np.int64), q_sizes)
+    if "hashes" in batch.column_names:
+        ids, q_sizes, q_hash = _shingle_columns(batch)
+    else:
+        ids = np.asarray(batch.column("doc_id").to_pylist(), dtype=np.int64)
+        norm = normalize_expr(batch.column("text")).to_pylist()
+        mine = [shingle_hashes(t, n) for t in norm]
+        q_sizes = np.array([m.size for m in mine], dtype=np.int64)
+        q_hash = np.concatenate(mine) if mine else np.empty(0, np.uint64)
+    q_doc = np.repeat(np.arange(ids.size, dtype=np.int64), q_sizes)
     starts = np.searchsorted(index.hashes, q_hash, side="left")
     lengths = np.searchsorted(index.hashes, q_hash, side="right") - starts
     ends = np.cumsum(lengths)
@@ -1466,7 +1483,6 @@ def dup_cluster_sizes(docs_ds, pairs_ds, id_col: str = "doc_id"):
       groupby.  Nothing is driver-collected.
     """
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     ref, cc = dim_ref_adaptive(
         connected_components(pairs_ds, node_col=id_col), id_col, ["component"]
@@ -1552,10 +1568,10 @@ def dup_cluster_sizes(docs_ds, pairs_ds, id_col: str = "doc_id"):
             names=["component", "n"],
         )
 
-    sizes = (
-        labeled.map_batches(comp_parts, batch_format="pyarrow")
-        .groupby("component")
-        .aggregate(Sum("n", alias_name="size"))
+    sizes = exchange_aggregate(
+        labeled.map_batches(comp_parts, batch_format="pyarrow"),
+        "component",
+        [("n", "sum", "size")],
     )
 
     def size_parts(b: pa.Table) -> pa.Table:
@@ -1566,8 +1582,8 @@ def dup_cluster_sizes(docs_ds, pairs_ds, id_col: str = "doc_id"):
             names=["size", "nc"],
         )
 
-    return (
-        sizes.map_batches(size_parts, batch_format="pyarrow")
-        .groupby("size")
-        .aggregate(Sum("nc", alias_name="n_clusters"))
+    return exchange_aggregate(
+        sizes.map_batches(size_parts, batch_format="pyarrow"),
+        "size",
+        [("nc", "sum", "n_clusters")],
     )

@@ -7,9 +7,10 @@ see (chrome rendered into main content, cookie text, share prompts).
 Two passes, both shuffle-light:
 
 1. line-frequency: per-batch DISTINCT (line_hash, 1) partials →
-   groupby(line_hash) Sum → filter count > max_df.  The surviving hot
-   set is tiny (boilerplate lines are by definition few and frequent) →
-   collected and broadcast with ``ray.put``.
+   per-line document counts in one combiner exchange
+   (``bucket_tasks.exchange_aggregate``) → filter count > max_df.  The
+   surviving hot set is tiny (boilerplate lines are by definition few
+   and frequent) → collected and broadcast with ``ray.put``.
 2. rewrite: vectorized per-batch filter of each document's lines
    against the broadcast hot set.
 
@@ -21,9 +22,8 @@ from __future__ import annotations
 import hashlib
 
 import pyarrow as pa
-from ray.data.aggregate import Sum
 
-from .bucket_tasks import exchange_map_groups
+from .bucket_tasks import exchange_aggregate, exchange_map_groups
 
 
 def _line_hash(line: str) -> str:
@@ -51,20 +51,24 @@ def hot_lines(ds, text_col: str = "text", max_df: int = 1):
     """Line hashes appearing in more than ``max_df`` documents (small)."""
     import pyarrow.compute as pc
 
-    counts = (
+    counts = exchange_aggregate(
         ds.map_batches(
             lambda b: line_df_partials(b, text_col),
             batch_format="pyarrow",
             zero_copy_batch=True,
-        )
-        .groupby("line_hash")
-        .aggregate(Sum("n", alias_name="n"))
+        ),
+        "line_hash",
+        [("n", "sum", "n")],
     )
     hot = counts.map_batches(
-        lambda b: b.filter(pc.greater(b.column("n"), max_df)), batch_format="pyarrow"
+        lambda b: b.filter(pc.greater(b.column("n"), max_df)).select(["line_hash"]),
+        batch_format="pyarrow",
     )
-    vals = hot.unique("line_hash")  # None when no line exceeds max_df
-    return set(vals) if vals else set()
+    # the aggregate's keys are distinct: collect them, no second shuffle
+    out: set = set()
+    for b in hot.iter_batches(batch_format="pyarrow"):
+        out.update(b.column("line_hash").to_pylist())
+    return out
 
 
 def remove_common_lines_join(
@@ -98,7 +102,6 @@ def remove_common_lines_join(
         num_partitions = derive_num_partitions(ds, floor=32)
     import pandas as pd
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     def bucket_of(hashes) -> pa.Array:
         return pa.array(bucket_col(hashes, num_partitions), pa.int32())
@@ -152,16 +155,13 @@ def remove_common_lines_join(
             names=[id_col, "line_idx", "line", "line_hash", "bucket", "side"],
         )
 
-    hot = (
-        ds.map_batches(
-            lambda b: line_df_partials(b, text_col), batch_format="pyarrow"
-        )
-        .groupby("line_hash")
-        .aggregate(Sum("n", alias_name="_df"))
-        .map_batches(
-            lambda b: hot_rows(b.filter(pc.greater(b.column("_df"), max_df))),
-            batch_format="pyarrow",
-        )
+    hot = exchange_aggregate(
+        ds.map_batches(lambda b: line_df_partials(b, text_col), batch_format="pyarrow"),
+        "line_hash",
+        [("n", "sum", "_df")],
+    ).map_batches(
+        lambda b: hot_rows(b.filter(pc.greater(b.column("_df"), max_df))),
+        batch_format="pyarrow",
     )
     exploded = ds.map_batches(explode, batch_format="pyarrow")
 
@@ -178,7 +178,7 @@ def remove_common_lines_join(
         g = g.sort_values("line_idx", kind="mergesort")
         real = g[g["line_idx"] >= 0]
         text = real.groupby(id_col, sort=False, dropna=False)["line"].agg("\n".join)
-        ids = g[id_col].unique()
+        ids = pd.unique(g[id_col])
         return pd.DataFrame(
             {id_col: ids, text_col: text.reindex(ids, fill_value="").to_numpy()}
         )

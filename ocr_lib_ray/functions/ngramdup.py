@@ -5,10 +5,11 @@ Language Models Better" (Lee et al., 2022), expressed at word-n-gram
 granularity so it distributes as two shuffle-light passes:
 
 1. gram document-frequency: per-batch DISTINCT (gram_hash, 1) partials
-   per document → ``groupby(gram_hash).Sum`` → grams in >= ``min_df``
+   per document → per-gram document counts in one combiner exchange
+   (``bucket_tasks.exchange_aggregate``) → grams in >= ``min_df``
    DISTINCT documents form the *hot set* (duplicated spans).  The
-   partial-combine means the shuffle carries one row per distinct gram
-   per batch — never every gram occurrence.
+   exchange pre-aggregates each block, so it carries one row per
+   distinct gram per block — never every gram occurrence.
 2. map-only rewrite/stats: a token position is *duplicated* iff some
    hot gram covers it; each document marks covered positions against
    the broadcast hot set and emits stats (:func:`dup_ngram_stats`) or
@@ -33,7 +34,8 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
-from ray.data.aggregate import Count, Sum
+
+from .bucket_tasks import exchange_aggregate
 
 __all__ = [
     "contamination_report",
@@ -92,13 +94,15 @@ def _collect_gram_digests(
     import pyarrow.compute as pc
 
     counts = (
-        ds.map_batches(
-            lambda b: _gram_df_partials(b, text_col, n),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
+        exchange_aggregate(
+            ds.map_batches(
+                lambda b: _gram_df_partials(b, text_col, n),
+                batch_format="pyarrow",
+                zero_copy_batch=True,
+            ),
+            "gram_hash",
+            [("nd", "sum", "nd")],
         )
-        .groupby("gram_hash")
-        .aggregate(Sum("nd", alias_name="nd"))
         .map_batches(
             lambda b: b.filter(pc.greater_equal(b.column("nd"), min_df)).select(
                 ["gram_hash"]
@@ -567,8 +571,9 @@ def contamination_report(
     broadcasts once (small by definition; ``max_eval_grams`` guard);
     the TRAINING corpus — the big side — is scanned map-only, each
     batch emitting only the eval digests it matched (≤ |eval grams|
-    per batch, deduped per batch), one digest-keyed groupby dedups the
-    matches globally (bounded by the eval set, never the corpus), and
+    per batch, deduped per batch), one digest-keyed combiner exchange
+    dedups the matches globally (bounded by the eval set, never the
+    corpus), and
     the matched set broadcasts back for a map-only eval labeling pass.
     Nothing corpus-sized is ever collected or shuffled.
     """
@@ -592,12 +597,12 @@ def contamination_report(
             [pa.array(list(s), pa.binary())], names=["gh"]
         )
 
-    matched_ds = (
+    matched_ds = exchange_aggregate(
         train_ds.map_batches(
             matched_partials, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("gh")
-        .aggregate(Count(alias_name="nb"))
+        ),
+        "gh",
+        [(None, "count", "nb")],
     )
     matched = set()
     for b in matched_ds.iter_batches(batch_format="pyarrow"):

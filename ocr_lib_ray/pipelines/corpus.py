@@ -20,9 +20,9 @@ import hashlib
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
-from ray.data.aggregate import Min
 
 from ..config import DEFAULT_CONFIG, ExtractConfig
+from ..functions.bucket_tasks import exchange_aggregate
 from .extract import extract_pipeline
 
 
@@ -298,8 +298,10 @@ def clean_corpus(
     fps = extracted.map_batches(
         fingerprint_extracted, batch_format="pyarrow", zero_copy_batch=True
     )
-    survivors = fps.groupby("fingerprint").aggregate(
-        Min("url", alias_name="url"), Min("text_chars", alias_name="text_chars")
+    survivors = exchange_aggregate(
+        fps,
+        "fingerprint",
+        [("url", "min", "url"), ("text_chars", "min", "text_chars")],
     )
     return survivors.map_batches(
         lambda b: b.filter(pc.greater_equal(b.column("text_chars"), min_chars)).select(

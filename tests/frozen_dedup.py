@@ -1,11 +1,15 @@
 """Frozen copies of the per-pair / per-bucket near-duplicate verifiers
-that ``ocr_lib_ray.functions.dedup`` replaced with sorted-array code.
+that ``ocr_lib_ray.functions.dedup`` replaced with sorted-array code,
+and of the per-token / per-band hashing it replaced with fewer Python
+objects.
 
 They are the differential oracles of ``tests/test_dedup_verify.py`` —
 keep them byte-for-byte as they were; do not "fix" or speed them up.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pandas as pd
@@ -126,4 +130,64 @@ def frozen_ngram_jaccard_pairs_batch(batch: pa.Table, all_sets_ref, n: int, thre
             pa.array(jac, pa.float64()),
         ],
         names=["d1", "d2", "jaccard"],
+    )
+
+
+def frozen_stable_token_hashes(tokens) -> np.ndarray:
+    """md5 lower 64 bits little-endian per token (stable across
+    runs/processes AND byte-equal to DuckDB ``md5_number_lower`` — the
+    minhash_pairs SQL-oracle parity requirement; was crc32, switched
+    round 3: 64-bit hashes also shrink shingle collisions)."""
+    return np.fromiter(
+        (
+            int.from_bytes(hashlib.md5(t.encode("utf-8")).digest()[8:], "little")
+            for t in tokens
+        ),
+        dtype=np.uint64,
+        count=len(tokens),
+    )
+
+
+def frozen_minhash_band_rows(
+    batch: pa.Table,
+    hasher,
+    bands: int,
+    id_col: str = "doc_id",
+    text_is_norm: bool = False,
+    group_buckets: int = 1,
+) -> pa.Table:
+    """documents batch → exploded (band, bucket, band_hash, doc_id,
+    signature)."""
+    ids = batch.column(id_col).to_pylist()
+    norm = (
+        batch.column("text").to_pylist()
+        if text_is_norm
+        else normalize_expr(batch.column("text")).to_pylist()
+    )
+    rows_per_band = hasher.num_perm // bands
+    out_band, out_hash, out_id, out_sig = [], [], [], []
+    for doc_id, text in zip(ids, norm):
+        sig = hasher.signature(text)
+        sig_bytes = sig.tobytes()
+        for b in range(bands):
+            # band key = md5-lower64 of the comma-joined band values
+            # (mod 2^32) — DuckDB-reproducible (was crc32 of raw bytes)
+            chunk = ",".join(str(v) for v in sig[b * rows_per_band : (b + 1) * rows_per_band])
+            out_band.append(b)
+            out_hash.append(
+                int.from_bytes(hashlib.md5(chunk.encode()).digest()[8:], "little")
+                & 0xFFFFFFFF
+            )
+            out_id.append(doc_id)
+            out_sig.append(sig_bytes)
+    hash_arr = np.asarray(out_hash, dtype=np.uint32)
+    return pa.Table.from_arrays(
+        [
+            pa.array(out_band, pa.int32()),
+            pa.array((hash_arr % np.uint32(max(group_buckets, 1))).astype(np.int32)),
+            pa.array(hash_arr, pa.uint32()),
+            pa.array(out_id, pa.int64()),
+            pa.array(out_sig, pa.binary()),
+        ],
+        names=["band", "bucket", "band_hash", "doc_id", "signature"],
     )

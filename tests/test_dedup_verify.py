@@ -5,7 +5,10 @@ frozen copies of the per-pair / per-bucket loops they replaced
 * ``ngram_jaccard_pairs_batch`` (inverted index) must equal the frozen
   verifier table-for-table: same rows, order and values;
 * ``_pairs_from_band`` (one lexsort pass) must give the same multiset of
-  ``(d1, d2, est_jaccard)`` rows.
+  ``(d1, d2, est_jaccard)`` rows;
+* ``_stable_token_hashes`` and ``minhash_band_rows`` must be bit-equal
+  to the per-token / per-scalar hashing they replaced (non-ASCII and
+  empty tokens included).
 
 Corpora: the sf_small testdata and hypothesis corpora over a tiny
 vocabulary (so Jaccard values hit the threshold exactly), with empty
@@ -23,7 +26,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frozen_dedup import frozen_ngram_jaccard_pairs_batch, frozen_pairs_from_band
+from frozen_dedup import (
+    frozen_minhash_band_rows,
+    frozen_ngram_jaccard_pairs_batch,
+    frozen_pairs_from_band,
+    frozen_stable_token_hashes,
+)
 from ocr_lib_ray.functions import dedup
 from ocr_lib_ray.functions.text_stats import normalize_expr
 
@@ -55,6 +63,10 @@ def _assert_jaccard_equal(docs: pa.Table, n: int, threshold: float, batch_rows: 
         batch = docs.slice(lo, batch_rows)
         want = frozen_ngram_jaccard_pairs_batch(batch, sets, n, threshold)
         got = dedup.ngram_jaccard_pairs_batch(batch, index, n, threshold)
+        assert got.equals(want), (threshold, got.to_pydict(), want.to_pydict())
+        # the form ngram_jaccard_pairs runs: shingled once, hashes passed in
+        hashed = dedup.shingle_rows(batch, n)
+        got = dedup.ngram_jaccard_pairs_batch(hashed, index, n, threshold)
         assert got.equals(want), (threshold, got.to_pydict(), want.to_pydict())
 
 
@@ -198,6 +210,35 @@ def test_band_verify_chains_identical_signatures():
     out = dedup._pairs_from_band(g, 0.0)
     # cluster {3, 7, 9} chains (not a clique); its min id 3 meets 4
     assert _rows(out) == [(3, 4, 0.0), (3, 7, 1.0), (7, 9, 1.0)]
+
+
+# --- hashing -------------------------------------------------------------------
+
+#: empty, ASCII, non-ASCII (2-, 3- and 4-byte UTF-8) and whitespace tokens
+_TOKENS = ["", " ", "a", "a b c", "naïve café", "日本語 テキスト", "emoji 🙂 ok", "\x00"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_TOKENS), st.text(max_size=12)), max_size=30))
+def test_token_hashes_equal_frozen(tokens):
+    got = dedup._stable_token_hashes(tokens)
+    want = frozen_stable_token_hashes(tokens)
+    assert got.dtype == want.dtype == np.uint64
+    assert np.array_equal(got, want)
+
+
+def test_band_rows_equal_frozen(sf_small):
+    texts = _TOKENS + ["word " * 40, "ü ü ü ü", "a b"]
+    docs = pa.concat_tables(
+        [_docs(list(range(len(texts))), texts), _sf_docs(sf_small).slice(0, 60)]
+    )
+    for hasher, bands, buckets in (
+        (dedup.MinHasher(), 16, 1),
+        (dedup.MinHasher(num_perm=32, shingle_n=2, seed=7), 4, 5),
+    ):
+        got = dedup.minhash_band_rows(docs, hasher, bands, group_buckets=buckets)
+        want = frozen_minhash_band_rows(docs, hasher, bands, group_buckets=buckets)
+        assert got.equals(want)
 
 
 # --- threshold guard -----------------------------------------------------------

@@ -10,6 +10,9 @@
 * Broadcast or bucketed is decided in ``joins.py``: ``dim_ref_adaptive``
   is called only there and in dedup's two label stamps, and no other
   module defines or calls a broadcast-enrich helper.
+* The dedup family aggregates through ``bucket_tasks.exchange_aggregate``:
+  no Ray Data ``.aggregate(`` or ``.unique(`` (each a sort shuffle) is
+  left in its modules or in the ``dedup_exact`` query.
 """
 
 import ast
@@ -20,15 +23,20 @@ import ocr_lib_ray
 PACKAGE = pathlib.Path(ocr_lib_ray.__file__).parent
 
 
-def _attribute_sites(attr: str, *subdirs: str) -> list:
+def _attribute_sites(attr: str, *subdirs: str, skip=()) -> list:
     """``(path, line)`` of every ``<expr>.<attr>`` under the package (or
-    under ``subdirs`` of it)."""
+    under ``subdirs`` of it, directories or files), except those whose
+    ``<expr>`` is a name in ``skip``."""
     roots = [PACKAGE / d for d in subdirs] or [PACKAGE]
     sites = []
     for root in roots:
-        for path in sorted(root.rglob("*.py")):
+        for path in sorted(root.rglob("*.py")) if root.is_dir() else [root]:
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-                if isinstance(node, ast.Attribute) and node.attr == attr:
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == attr
+                    and getattr(node.value, "id", None) not in skip
+                ):
                     sites.append((path.relative_to(PACKAGE).as_posix(), node.lineno))
     return sites
 
@@ -91,3 +99,31 @@ def test_broadcast_decision_only_in_joins():
         ("ocr_lib_ray/functions/dedup.py", "dup_cluster_sizes"),
     }
     assert helpers == []
+
+
+#: the dedup family's modules, and the array libraries whose
+#: ``np.unique`` / ``pd.unique`` are not Ray Data calls
+DEDUP_MODULES = (
+    "functions/dedup.py",
+    "functions/linedup.py",
+    "functions/ngramdup.py",
+    "pipelines/corpus.py",
+)
+ARRAY_MODULES = ("np", "pd")
+
+
+def test_dedup_family_aggregates_in_the_exchange():
+    for attr in ("aggregate", "unique"):
+        assert _attribute_sites(attr, *DEDUP_MODULES, skip=ARRAY_MODULES) == []
+    entry = ast.parse((PACKAGE.parent / "__ray_entry__.py").read_text())
+    query = next(
+        node
+        for node in entry.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_q_dedup_exact"
+    )
+    assert [
+        node.lineno
+        for node in ast.walk(query)
+        if isinstance(node, ast.Attribute) and node.attr in ("aggregate", "unique")
+    ] == []
+    assert "exchange_aggregate" in ast.unparse(query)

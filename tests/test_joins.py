@@ -676,6 +676,50 @@ def test_exchange_map_groups_contract_and_fallback(monkeypatch):
 
 
 @pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("filled", [(), (3,), (0, 5, 6), tuple(range(8))])
+def test_exchange_starts_merges_only_for_filled_buckets(filled):
+    """Wave 1 returns per-bucket row counts; the driver submits a merge
+    task for exactly the k buckets they fill, and the P - k empty ones
+    share one merge_fn result computed on the driver over a typed
+    empty slice.  P positional refs come back either way."""
+    import os
+
+    import pyarrow as pa
+    import ray
+
+    from ocr_lib_ray.functions.bucket_tasks import exchange_to_bucket_refs
+
+    P, driver = 8, os.getpid()
+    keys = [b for b in filled for _ in range(3)]
+    blocks = [
+        pa.table({"b": pa.array(keys[i::2], pa.int64())}) for i in range(2)
+    ]
+    on_driver = []
+
+    def merge_fn(t):
+        if os.getpid() == driver:
+            on_driver.append(t.schema)
+        return (os.getpid(), t.num_rows)
+
+    refs, rows = exchange_to_bucket_refs(
+        [ray.put(b) for b in blocks],
+        lambda t: t.column("b").to_numpy(),
+        P,
+        merge_fn,
+    )
+    assert len(refs) == P
+    assert rows == [3 if b in filled else 0 for b in range(P)]
+    assert all(type(n) is int for n in rows)
+    results = ray.get(refs)
+    merged = [b for b, (pid, _) in enumerate(results) if pid != driver]
+    assert merged == sorted(filled)
+    assert [n for _, n in results] == rows
+    empty = [r for b, r in enumerate(refs) if b not in filled]
+    assert len(set(empty)) == min(1, len(empty))
+    assert on_driver == ([pa.schema([("b", pa.int64())])] if empty else [])
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_hash_join_replicate_keys_equivalence():
     """Skew salting: a dominant key (90% of left rows) joined with and
     without replicate_keys yields the identical output SET across
