@@ -1326,10 +1326,8 @@ def nation_volume(
             }
         ).to_pandas()
 
-    # emptiness short-circuit before the join (see market_share: an
-    # all-empty chained-map dataset keeps no schema for the union;
-    # limit(1) stops at the first row, near-free when non-empty)
-    if per_order.limit(1).count() == 0 or enriched.limit(1).count() == 0:
+    # emptiness short-circuit on the right side only (see market_share)
+    if enriched.limit(1).count() == 0:
         return _empty_nv()
     joined = hash_join(
         per_order,
@@ -1535,13 +1533,13 @@ def market_share(
             }
         ).to_pandas()
 
-    # emptiness short-circuit (typed result): an all-empty chained-map
-    # dataset keeps ZERO blocks — no schema survives for the join's
-    # union alignment — so probe each side with limit(1) (the
-    # streaming executor stops at the first row, so the probe is
-    # near-free in the common non-empty case and only pays a full
-    # map-only pass when the result IS empty)
-    if per_order.limit(1).count() == 0 or gated_orders.limit(1).count() == 0:
+    # emptiness short-circuit (typed result) on the right side: a
+    # zero-row right side makes the join's dim_ref_adaptive hand back
+    # the lazy side, and an all-empty chained-map dataset keeps ZERO
+    # blocks — no schema survives for the bucketed union.  An empty
+    # left side needs no probe: it is empty-in, empty-out on both join
+    # paths, and the empty take_all below returns the typed frame
+    if gated_orders.limit(1).count() == 0:
         return _empty_ms()
     with_orders = hash_join(
         per_order,

@@ -66,7 +66,7 @@ def segment(doc: TokenizedDoc, entities: dict | None = None) -> list:
             t = unescape(texts[i], entities)
             heading, listitem, boiler = heads[i], lis[i], boils[i]
             text = collapse_ws(t)
-            link_words = len(text.split(" ")) if links[i] and text else 0
+            link_words = text.count(" ") + 1 if links[i] and text else 0
         else:
             parts = []
             link_words = 0
@@ -77,7 +77,7 @@ def segment(doc: TokenizedDoc, entities: dict | None = None) -> list:
                 if links[k]:
                     ct = collapse_ws(t)
                     if ct:
-                        link_words += len(ct.split(" "))
+                        link_words += ct.count(" ") + 1
                 heading = heading or heads[k]
                 listitem = listitem or lis[k]
                 boiler = boiler or boils[k]
@@ -89,7 +89,7 @@ def segment(doc: TokenizedDoc, entities: dict | None = None) -> list:
                     end=doc.ends[j - 1],
                     text=text,
                     tag=doc.block_tag[i],
-                    n_words=len(text.split(" ")),
+                    n_words=text.count(" ") + 1,
                     link_words=link_words,
                     is_heading=heading,
                     is_list=listitem,

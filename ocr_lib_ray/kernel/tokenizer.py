@@ -86,7 +86,8 @@ class TagConfig:
 DEFAULT_TAGS = TagConfig()
 
 _TAG_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9:-]*")
-_WS_RE = re.compile(r"[ \t\n\r\f\v]+")
+#: the non-space members of the ASCII whitespace class, mapped to " "
+_WS_TO_SPACE = str.maketrans("\t\n\r\f\v", "     ")
 _ENTITY_RE = re.compile(r"&(#x[0-9a-fA-F]{1,6}|#[0-9]{1,7}|[a-zA-Z][a-zA-Z0-9]{1,31});")
 
 #: deterministic named-entity subset: the HTML basics plus the names
@@ -184,9 +185,14 @@ def collapse_ws(text: str) -> str:
 
     Matches the SQL oracle ``trim(regexp_replace(x, '[ \\t\\n\\r\\f\\v]+',
     ' ', 'g'))`` exactly (the class is explicit so Python's unicode-aware
-    ``\\s`` cannot diverge from it).
+    ``\\s`` cannot diverge from it) without a regex pass: one
+    ``translate`` maps the class to spaces, and only a text holding a
+    double space is rebuilt from its space-separated words.
     """
-    return _WS_RE.sub(" ", text).strip()
+    text = text.translate(_WS_TO_SPACE)
+    if "  " in text:
+        text = " ".join(filter(None, text.split(" ")))
+    return text.strip()
 
 
 # Parser state & node record ------------------------------------------------

@@ -78,8 +78,14 @@ def extract_pipeline(
 
     Giant pages need no routing: the kernel parses any page above
     ``giant_threshold`` in ``chunk_size`` passes, output-equal to the
-    one-shot parse.  A page's memory is O(page) on either parse;
-    ``batch_size`` bounds how many rows are co-resident.
+    one-shot parse.  A page's memory is O(page) on either parse.
+
+    Extraction takes no ``batch_size``: each input block is one extract
+    call and one output block, so a task holds one block's rows (the
+    reader builds blocks of about ``DataContext.target_max_block_size``)
+    and Ray fuses the read into extraction.  A ``batch_size`` would set
+    ``min_rows_per_bundled_input``, which stops that fusion and makes
+    every page wait in the object store for its bundle.
     """
     import functools
 
@@ -96,11 +102,7 @@ def extract_pipeline(
         )
     else:
         extract_kw = dict(fn=functools.partial(extract_batch, cfg=cfg))
-    return ds.map_batches(
-        batch_format="pyarrow",
-        batch_size=cfg.bulk_batch_size,
-        **extract_kw,
-    )
+    return ds.map_batches(batch_format="pyarrow", **extract_kw)
 
 
 def write_with_manifest(extracted: rd.Dataset, out_dir: str, resume: bool = True) -> dict:
@@ -122,8 +124,9 @@ def write_with_manifest(extracted: rd.Dataset, out_dir: str, resume: bool = True
                 make_resume_filter(done), batch_format="pyarrow"
             )
     # The job's partition count is unknown here, so the partition id is
-    # a column key over one bucket per extracted block — the sort
-    # shuffle's width, and past the width gate that shuffle itself.
+    # a column key over one bucket per extracted block (extraction maps
+    # each input block to one output block) — the sort shuffle's width,
+    # and past the width gate that shuffle itself.
     # Like any all-to-all, it holds the extracted corpus until it ends.
     extracted = extracted.materialize()
     manifest = exchange_map_groups(

@@ -137,7 +137,8 @@ def make_pdf(doc_id: int, text: str) -> bytes:
     ``pdf_block_gap`` (30) so the title is its own block, and body lines
     are one block, matching the HTML golden exactly.
     """
-    words = collapse_ws(text).split(" ") if collapse_ws(text) else []
+    body = collapse_ws(text)
+    words = body.split(" ") if body else []
     lines = [
         " ".join(words[i : i + PDF_WORDS_PER_LINE])
         for i in range(0, len(words), PDF_WORDS_PER_LINE)
@@ -164,7 +165,8 @@ def make_pdf_rot(doc_id: int, text: str) -> bytes:
     appends it as the final block — the golden is every other kind's
     golden plus a trailing ``DRAFT {doc_id}`` line (see golden_text).
     """
-    words = collapse_ws(text).split(" ") if collapse_ws(text) else []
+    body = collapse_ws(text)
+    words = body.split(" ") if body else []
     lines = [
         " ".join(words[i : i + PDF_WORDS_PER_LINE])
         for i in range(0, len(words), PDF_WORDS_PER_LINE)
@@ -193,7 +195,8 @@ def make_pdf_shear(doc_id: int, text: str) -> bytes:
     the golden is every other kind's golden plus a trailing
     ``SHEAR {doc_id}`` line (see golden_text).  Before round 4 this
     stamp would have rejected to residuals."""
-    words = collapse_ws(text).split(" ") if collapse_ws(text) else []
+    body = collapse_ws(text)
+    words = body.split(" ") if body else []
     lines = [
         " ".join(words[i : i + PDF_WORDS_PER_LINE])
         for i in range(0, len(words), PDF_WORDS_PER_LINE)
@@ -272,7 +275,8 @@ def make_pdf_prop(doc_id: int, text: str) -> bytes:
     geometry is integer points (dyadic widths), so the payload is
     byte-reconstructable in the media_features SQL oracle.
     """
-    words = collapse_ws(text).split(" ") if collapse_ws(text) else []
+    body = collapse_ws(text)
+    words = body.split(" ") if body else []
     lines = [
         " ".join(words[i : i + PDF_WORDS_PER_LINE])
         for i in range(0, len(words), PDF_WORDS_PER_LINE)

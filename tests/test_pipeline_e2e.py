@@ -73,24 +73,56 @@ def test_pipeline_matches_golden(sf_small):
 @pytest.mark.usefixtures("ray_session")
 def test_pipeline_batchsize_invariance(sf_small):
     """Output must not depend on batch composition (the reference's
-    per-thread residual cap violates this; ours must not)."""
+    per-thread residual cap violates this; ours must not): the same
+    pages cut into 1, 7 and 64 blocks extract identically."""
     from ocr_lib_ray.pipelines.extract import build_pages_dataset, extract_pipeline
 
-    a = (
-        extract_pipeline(build_pages_dataset(sf_small), ExtractConfig(bulk_batch_size=7))
+    pages = build_pages_dataset(sf_small).materialize()
+    a, b, c = (
+        extract_pipeline(pages.repartition(n))
         .to_pandas()
         .sort_values("url")
         .reset_index(drop=True)
+        for n in (1, 7, 64)
     )
-    b = (
-        extract_pipeline(build_pages_dataset(sf_small), ExtractConfig(bulk_batch_size=256))
-        .to_pandas()
-        .sort_values("url")
-        .reset_index(drop=True)
+    for other in (b, c):
+        assert (a["url"] == other["url"]).all()
+        assert (a["text"] == other["text"]).all()
+        assert a["spans"].map(repr).equals(other["spans"].map(repr))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_read_fuses_into_extraction(sf_small, tmp_path):
+    """Extraction takes each input block as it is read: over an unsplit
+    read (one block per file) the plan is one fused
+    ReadParquet->...->MapBatches(extract_batch) operator, and there is
+    one output block per input block."""
+    import ray.data as rd
+
+    from ocr_lib_ray.pipelines.extract import extract_pipeline
+    from ocr_lib_ray.sources.pages import synthesize_pages_batch
+
+    docs = pq.read_table(
+        f"{sf_small}/documents.parquet", columns=["doc_id", "text", "lang", "source"]
     )
-    assert (a["url"] == b["url"]).all()
-    assert (a["text"] == b["text"]).all()
-    assert a["spans"].map(repr).equals(b["spans"].map(repr))
+    pages = synthesize_pages_batch(docs)
+    files = 3
+    step = -(-pages.num_rows // files)
+    for i in range(files):
+        pq.write_table(pages.slice(i * step, step), str(tmp_path / f"part-{i}.parquet"))
+    out = extract_pipeline(
+        rd.read_parquet(str(tmp_path), override_num_blocks=files)
+    ).materialize()
+    ops = [
+        line.split(":")[0].split(" ", 2)[2]
+        for line in out.stats().splitlines()
+        if line.startswith("Operator ")
+    ]
+    assert len(ops) == 1, ops
+    assert ops[0].startswith("ReadParquet->")
+    assert ops[0].endswith("->MapBatches(extract_batch)")
+    assert out.num_blocks() == files
+    assert out.count() == pages.num_rows
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -245,7 +277,7 @@ def test_manifest_sink_width_follows_blocks(sf_small, tmp_path, monkeypatch):
         return exchange(ds, key, fn, num_partitions, **kw)
 
     monkeypatch.setattr(pe, "exchange_map_groups", spy)
-    cfg = ExtractConfig(num_partitions=24, bulk_batch_size=16)
+    cfg = ExtractConfig(num_partitions=24)
     pages = pe.build_pages_dataset(sf_small).repartition(32)
     out = str(tmp_path / "wide")
     r = pe.write_with_manifest(pe.extract_pipeline(pages, cfg), out)

@@ -600,6 +600,69 @@ def test_nation_volume_and_market_share_empty_are_typed():
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_nation_volume_and_market_share_empty_left_side(monkeypatch):
+    """An empty per-order side reaches the final orderkey join (only the
+    right side is probed for emptiness) and comes back as the typed
+    empty frame on both join paths: broadcast, and bucketed with
+    DIM_BROADCAST_MAX at 0."""
+    import pyarrow.parquet as pq2
+    import ray.data as rd
+
+    import ocr_lib_ray.functions.joins as joins
+    import ocr_lib_ray.functions.relational as rel
+
+    li = rd.from_arrow(pq2.read_table(f"{SF}/lineitem.parquet"))
+    orders = rd.from_arrow(pq2.read_table(f"{SF}/orders.parquet"))
+    cust = rd.from_arrow(pq2.read_table(f"{SF}/customer.parquet"))
+    supp = rd.from_arrow(pq2.read_table(f"{SF}/supplier.parquet"))
+    part = rd.from_arrow(pq2.read_table(f"{SF}/part.parquet"))
+    nation = pq2.read_table(f"{SF}/nation.parquet")
+    region = pq2.read_table(f"{SF}/region.parquet")
+
+    def ts(day):
+        return int(pd.Timestamp(day).value // 1000)
+
+    empty_nv = pd.DataFrame(
+        {
+            "supp_nation": pd.Series([], dtype=object),
+            "cust_nation": pd.Series([], dtype=object),
+            "revenue_u4": pd.Series([], dtype=np.int64),
+        }
+    )
+    empty_ms = pd.DataFrame(
+        {
+            c: pd.Series([], dtype=np.int64)
+            for c in ("o_year", "target_u4", "total_u4", "share_micro")
+        }
+    )
+    orderkey_joins = []
+    real_join = rel.hash_join
+
+    def spy(left, right, key, *a, **kw):
+        if key == "orderkey":
+            orderkey_joins.append(key)
+        return real_join(left, right, key, *a, **kw)
+
+    monkeypatch.setattr(rel, "hash_join", spy)
+    for bound in (joins.DIM_BROADCAST_MAX, 0):
+        monkeypatch.setattr(joins, "DIM_BROADCAST_MAX", bound)
+        orderkey_joins.clear()
+        # no lineitem ships in 2050; the orders side is the whole table
+        nv = rel.nation_volume(
+            li, orders, cust, supp, nation, "NATION_3", "NATION_7",
+            ts("2050-01-01"), ts("2051-01-01"),
+        )
+        # no part has this type; the gated orders are 1995-1997's
+        ms = rel.market_share(
+            li, orders, cust, supp, part, nation, region,
+            "NATION_3", "ASIA", "NO SUCH TYPE", ts("1995-01-01"), ts("1997-01-01"),
+        )
+        assert orderkey_joins == ["orderkey", "orderkey"], bound
+        pd.testing.assert_frame_equal(nv, empty_nv)
+        pd.testing.assert_frame_equal(ms, empty_ms)
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_band_revenue_matches_duckdb():
     import __ray_entry__ as entry
 
