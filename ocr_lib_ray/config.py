@@ -58,10 +58,11 @@ class ExtractConfig:
     #    parts seam algebra, core.clj:398-501,1392-1458) that carry the
     #    tag-stack across the seam and equal the unchunked parse.  This
     #    bounds no memory: a page costs O(page) either way (the decoded
-    #    page and its whole TokenizedDoc stay resident).  The co-resident
-    #    rows are one input block: extraction runs once per block, and
-    #    Ray Data's reader builds blocks of about
-    #    DataContext.target_max_block_size (128 MiB default).
+    #    page and its whole TokenizedDoc stay resident).  Extraction runs
+    #    once per input block (Ray Data's reader builds blocks of up to
+    #    DataContext.target_max_block_size, 128 MiB default) and turns
+    #    it into Python objects stages.extract_stage.ROWS_PER_SLICE rows
+    #    at a time, so those rows' pages and results are co-resident.
     giant_threshold: int = 1 << 20  # 1 MiB
     chunk_size: int = 256 * 1024
 

@@ -81,11 +81,14 @@ def extract_pipeline(
     one-shot parse.  A page's memory is O(page) on either parse.
 
     Extraction takes no ``batch_size``: each input block is one extract
-    call and one output block, so a task holds one block's rows (the
-    reader builds blocks of about ``DataContext.target_max_block_size``)
-    and Ray fuses the read into extraction.  A ``batch_size`` would set
-    ``min_rows_per_bundled_input``, which stops that fusion and makes
-    every page wait in the object store for its bundle.
+    call and one output block, and Ray fuses the read into extraction.
+    A ``batch_size`` would set ``min_rows_per_bundled_input``, which
+    stops that fusion and makes every page wait in the object store for
+    its bundle.  The call holds the block's Arrow columns (the reader
+    builds blocks of up to ``DataContext.target_max_block_size``) and
+    converts ``extract_stage.ROWS_PER_SLICE`` rows to Python objects at
+    a time, so a block of thousands of rows costs one slice's pages and
+    results in Python memory, not the block's.
     """
     import functools
 

@@ -7,7 +7,8 @@ batches across the cluster instead of bands across threads, and because
 the kernel is a pure per-document function, output is byte-identical at
 any parallelism — the property the reference needs its band-merge algebra
 for.  A page is never split across tasks: each row is one kernel call,
-O(page) memory, and the batch size bounds how many rows are co-resident.
+O(page) memory, and a block is extracted ``ROWS_PER_SLICE`` rows at a
+time, so that many rows' Python-side results are co-resident per call.
 
 ``ExtractDocuments`` is a callable CLASS → actor pool: configuration and
 compiled state are built ONCE per actor in ``__init__`` (fixing the
@@ -93,15 +94,30 @@ class ExtractDocuments:
         return extract_batch(batch, self.cfg, self.tags)
 
 
+#: rows one extract call turns into Python objects at once: an input block
+#: of any size is extracted slice by slice, so the call holds one slice's
+#: html strings and results plus the block's Arrow columns
+ROWS_PER_SLICE = 256
+
+
 def extract_batch(
     batch: pa.Table, cfg: ExtractConfig = DEFAULT_CONFIG, tags=None
 ) -> pa.Table:
     """Pure batch transform (usable as a stateless task too): one
-    :func:`extract_document` call per row, no Ray tasks."""
+    :func:`extract_document` call per row, no Ray tasks, converted to
+    Arrow every ``ROWS_PER_SLICE`` rows."""
     from ..kernel.tokenizer import DEFAULT_TAGS
 
     if tags is None:
         tags = DEFAULT_TAGS
+    slices = [
+        batch.slice(i, ROWS_PER_SLICE)
+        for i in range(0, batch.num_rows, ROWS_PER_SLICE)
+    ]
+    return pa.concat_tables([_extract_rows(s, cfg, tags) for s in slices or [batch]])
+
+
+def _extract_rows(batch: pa.Table, cfg: ExtractConfig, tags) -> pa.Table:
     urls = batch.column("url")
     htmls = batch.column("html")
     langs = (

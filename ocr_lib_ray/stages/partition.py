@@ -4,8 +4,8 @@ Partition key = ``crc32(url) % P`` — stable across processes, Python
 versions and runs (unlike ``hash()``), so the output layout is
 deterministic and a resumed job maps every url to the same partition.
 Giant pages need no routing here: the kernel parses every page in its
-own row, O(page) memory, and the extract stage runs once per input
-block, so the co-resident rows are one block's.
+own row, O(page) memory, and the extract stage converts each input
+block ``ROWS_PER_SLICE`` rows at a time, so those rows are co-resident.
 """
 
 from __future__ import annotations

@@ -91,6 +91,32 @@ def test_pipeline_batchsize_invariance(sf_small):
         assert a["spans"].map(repr).equals(other["spans"].map(repr))
 
 
+def test_extract_batch_bounds_rows_per_call(sf_small, monkeypatch):
+    """A block of any size is converted ``ROWS_PER_SLICE`` rows at a time
+    (the Python-side results one call holds), and the output is the same
+    as converting the whole block at once."""
+    from ocr_lib_ray.sources.pages import synthesize_pages_batch
+    from ocr_lib_ray.stages import extract_stage
+
+    docs = pq.read_table(
+        f"{sf_small}/documents.parquet", columns=["doc_id", "text", "lang", "source"]
+    )
+    pages = synthesize_pages_batch(docs)
+    whole = extract_stage.extract_batch(pages)
+    rows = []
+    convert = extract_stage._extract_rows
+    monkeypatch.setattr(extract_stage, "ROWS_PER_SLICE", 64)
+    monkeypatch.setattr(
+        extract_stage,
+        "_extract_rows",
+        lambda b, cfg, tags: rows.append(b.num_rows) or convert(b, cfg, tags),
+    )
+    sliced = extract_stage.extract_batch(pages)
+    assert max(rows) == 64 and sum(rows) == pages.num_rows
+    assert sliced.equals(whole)
+    assert extract_stage.extract_batch(pages.slice(0, 0)).schema == whole.schema
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_read_fuses_into_extraction(sf_small, tmp_path):
     """Extraction takes each input block as it is read: over an unsplit
