@@ -3,12 +3,14 @@
 Ray Data's ``groupby(key).map_groups`` pays a full sort-shuffle barrier
 (~seconds of fixed latency at any data size) EVERY time it runs.  Here
 a dataset is exchanged into ``num_partitions`` buckets by two task
-waves — a per-block split, then a per-bucket merge — with nothing
-landing on the driver but refs and per-bucket row counts.
+waves — a split of each block, then a merge of each bucket — with
+nothing landing on the driver but refs and per-bucket row and byte
+counts.
 
 * :func:`exchange_to_bucket_refs` is the two-wave implementation.
-  Wave 1 also returns each block's per-bucket row counts; the driver
-  reads them and starts merge tasks only for the buckets they fill.
+  Wave 1 also returns each split task's rows and bytes per bucket; the
+  driver reads them, packs the buckets they fill into consecutive
+  groups and starts one merge task per group.
   Iterative algorithms (PageRank) call it directly: their state is
   exchanged ONCE into per-bucket ``ObjectRef``s and every iteration
   then runs as task waves over those refs with NO further shuffles.
@@ -26,13 +28,24 @@ landing on the driver but refs and per-bucket row counts.
   1 pre-aggregates each block (a combiner), wave 2 combines the
   partials.
 
+Task sizing: both waves pack their items (input blocks by metadata
+bytes, filled buckets by wave-1 bytes) into consecutive groups of at
+most ``DataContext.target_max_block_size`` bytes, one task per group,
+and never fewer groups than ``min(items, cluster CPUs)``.  A host with
+as many CPUs as blocks and buckets starts one task per block and per
+bucket; a small host starts fewer, so Ray's fixed per-task cost no
+longer scales with ``num_partitions``.  :func:`dataset_from_refs` hands
+the merged buckets to a Dataset with one metadata task, not one per
+bucket.
+
 Partitioning assumption (documented per the custom-operator rule): one
 bucket's rows must fit one task — ``num_partitions`` comes from
-``derive_num_partitions``, by the caller or by the exchange itself.
+``derive_num_partitions``, by the caller or by the exchange itself.  A
+merge task holds at most one block target of buckets, or one bucket.
 
-Driver cost: the driver holds O(blocks x num_partitions) split refs —
-fine for P up to a few hundred; past that the Dataset sort shuffle
-amortizes better, so wider exchanges fall back to it.
+Driver cost: the driver holds O(split tasks x num_partitions) split
+refs — fine for P up to a few hundred; past that the Dataset sort
+shuffle amortizes better, so wider exchanges fall back to it.
 """
 
 from __future__ import annotations
@@ -56,6 +69,32 @@ def split_table_by_bucket(tbl: pa.Table, buckets: np.ndarray, num_partitions: in
     ]
 
 
+def _pack_groups(sizes: list) -> list:
+    """Consecutive groups of the indices of ``sizes`` (bytes per item),
+    one task each: never fewer than ``min(items, cluster CPUs)``
+    groups, and none holding more than
+    ``DataContext.target_max_block_size`` bytes unless it is one item.
+    The items first split into that many runs of about equal count,
+    then each run cuts wherever the next item would pass the target."""
+    import ray
+    from ray.data import DataContext
+
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    target = DataContext.get_current().target_max_block_size
+    groups = []
+    for run in np.array_split(np.arange(len(sizes)), max(1, min(len(sizes), cpus))):
+        group, held = [], 0
+        for i in run.tolist():
+            if group and target is not None and held + sizes[i] > target:
+                groups.append(group)
+                group, held = [], 0
+            group.append(i)
+            held += sizes[i]
+        if group:
+            groups.append(group)
+    return groups
+
+
 def exchange_to_bucket_refs(
     block_refs: list,
     bucket_fn,
@@ -65,19 +104,24 @@ def exchange_to_bucket_refs(
 ):
     """The two task waves that turn dataset blocks into buckets.
 
-    * wave 1 — one task per input block: ``pre_fn`` (optional) trims
-      the block, ``bucket_fn(table) -> np.ndarray[int]`` assigns each
-      row a bucket, and the block splits into ``num_partitions``
-      sub-tables (``num_returns=P + 1`` so each sub-table is an
-      independently fetchable ref — bucket *b*'s merge task pulls ONLY
-      its own slices, never whole blocks).  The last return is the
-      block's per-bucket row counts.
-    * the driver fetches those P-int arrays (the exchange's map-side
-      statistics) and starts wave 2 only for the buckets they fill.
-    * wave 2 — one task per non-empty bucket: concat the per-block
-      slices and apply ``merge_fn`` (default: return the concat table).
-      Every empty bucket shares ONE result: ``merge_fn`` run on the
-      driver over block 0's (zero-row) slice of the first empty bucket.
+    * wave 1 — one ``split`` task per entry of ``block_refs``, which is
+      a block ref or a tuple of block refs: per block, ``pre_fn``
+      (optional) trims it, ``bucket_fn(table) -> np.ndarray[int]``
+      assigns each row a bucket, and the block splits into
+      ``num_partitions`` sub-tables; a bucket's non-empty slices join
+      in block order.  ``num_returns=P + 1`` makes each bucket an
+      independently fetchable ref, so a merge pulls ONLY its buckets'
+      slices, never whole blocks.  The last return is the task's rows
+      and bytes per bucket.
+    * the driver sums those (the exchange's map-side statistics) and
+      packs the buckets they fill into consecutive groups
+      (:func:`_pack_groups`: at most one block target of bytes, or one
+      bucket, per group).
+    * wave 2 — one ``merge`` task per group (``num_returns`` = its
+      buckets): per bucket, concat the non-empty slices and apply
+      ``merge_fn`` (default: return the concat table).  Every empty
+      bucket shares ONE result: ``merge_fn`` run on the driver over
+      block 0's (zero-row) slice of the first empty bucket.
 
     Returns ``(refs, rows)``: per bucket, a ref to ``merge_fn``'s result
     (P positional refs, empty buckets included) and the bucket's input
@@ -88,10 +132,15 @@ def exchange_to_bucket_refs(
 
     if not block_refs:
         raise ValueError("exchange_to_bucket_refs: no input blocks")
+    tasks = [e if isinstance(e, tuple) else (e,) for e in block_refs]
+    if merge_fn is None:
+
+        def merge_fn(t: pa.Table) -> pa.Table:
+            return t
 
     def arrow(block) -> pa.Table:
-        # to_arrow_refs hands pandas blocks through as they are when the
-        # dataset's schema is Arrow (e.g. a union with a pandas side)
+        # input blocks may be pandas (a pandas-format upstream, or
+        # to_arrow_refs handing them through under an Arrow schema)
         return BlockAccessor.for_block(block).to_arrow()
 
     if num_partitions == 1:
@@ -103,45 +152,95 @@ def exchange_to_bucket_refs(
                 tbls = [pre_fn(x) if x.num_rows > 0 else x for x in tbls]
             live = [x for x in tbls if x.num_rows > 0]
             t = pa.concat_tables(live, promote_options="default") if live else tbls[0]
-            return (merge_fn(t) if merge_fn is not None else t), t.num_rows
+            return merge_fn(t), t.num_rows
 
-        ref, rows = merge_all.remote(*block_refs)
+        ref, rows = merge_all.remote(*[r for t in tasks for r in t])
         return [ref], [ray.get(rows)]
 
-    @ray.remote
-    def split(tbl: pa.Table):
+    def split_block(tbl) -> list:
         tbl = arrow(tbl)
         if pre_fn is not None and tbl.num_rows > 0:
             tbl = pre_fn(tbl)
         if tbl.num_rows == 0:
             # map_groups upstream can emit SCHEMA-LESS empty blocks
             # (the known Ray quirk) — never hand those to bucket_fn
-            return (*[tbl] * num_partitions, np.zeros(num_partitions, np.int64))
+            return [tbl] * num_partitions
         bk = np.asarray(bucket_fn(tbl), dtype=np.int64)
-        parts = split_table_by_bucket(tbl, bk, num_partitions)
-        return (*parts, np.array([p.num_rows for p in parts], np.int64))
+        return split_table_by_bucket(tbl, bk, num_partitions)
 
     @ray.remote
-    def merge(*parts):
-        t = pa.concat_tables(
-            [p for p in parts if p.num_rows > 0], promote_options="default"
-        )
-        return merge_fn(t) if merge_fn is not None else t
+    def split(*tbls):
+        # every block splits on its own, so a bucket's rows arrive in
+        # the chunks and order one task per block gives them (pyarrow's
+        # group_by output order follows the chunk layout)
+        blocks = [split_block(t) for t in tbls]
+        parts = []
+        for b in range(num_partitions):
+            live = [p[b] for p in blocks if p[b].num_rows > 0] or [blocks[0][b]]
+            parts.append(pa.concat_tables(live, promote_options="default"))
+        stats = [[p.num_rows for p in parts], [p.nbytes for p in parts]]
+        return (*parts, np.array(stats, np.int64))
 
-    waves = [
-        split.options(num_returns=num_partitions + 1).remote(ref) for ref in block_refs
-    ]
-    rows = np.sum(ray.get([w[-1] for w in waves]), axis=0).tolist()
-    refs, empty = [], None
-    for b, n in enumerate(rows):
-        if n:
-            refs.append(merge.remote(*[w[b] for w in waves]))
-            continue
-        if empty is None:
-            t = ray.get(waves[0][b])
-            empty = ray.put(merge_fn(t) if merge_fn is not None else t)
-        refs.append(empty)
+    @ray.remote
+    def merge(counts, *parts):
+        outs, at = [], 0
+        for n in counts:
+            t = pa.concat_tables(parts[at : at + n], promote_options="default")
+            at += n
+            outs.append(merge_fn(t))
+        return outs[0] if len(outs) == 1 else tuple(outs)
+
+    waves = [split.options(num_returns=num_partitions + 1).remote(*t) for t in tasks]
+    stats = ray.get([w[-1] for w in waves])
+    rows, nbytes = np.sum(stats, axis=0).tolist()
+    filled = [b for b, n in enumerate(rows) if n]
+    refs = [None] * num_partitions
+    for group in _pack_groups([nbytes[b] for b in filled]):
+        buckets = [filled[i] for i in group]
+        parts = [[w[b] for w, s in zip(waves, stats) if s[0][b]] for b in buckets]
+        outs = merge.options(num_returns=len(buckets)).remote(
+            [len(p) for p in parts], *[r for p in parts for r in p]
+        )
+        for b, ref in zip(buckets, outs if len(buckets) > 1 else [outs]):
+            refs[b] = ref
+    empty = None
+    for b, ref in enumerate(refs):
+        if ref is None:
+            if empty is None:
+                t = ray.get(waves[0][b])
+                empty = ray.put(merge_fn(t))
+            refs[b] = empty
     return refs, rows
+
+
+def dataset_from_refs(refs: list):
+    """``ray.data.from_arrow_refs(refs)`` with ONE metadata task for all
+    of ``refs`` (Ray starts one per ref): the same ``FromArrow`` plan
+    over a ``MaterializedDataset``, built as Ray 2.49's
+    ``from_arrow_refs`` (``ray/data/read_api.py``) builds it.  A Ray
+    upgrade that moves these internals fails
+    ``tests/test_exchange_waves.py``."""
+    import ray
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data._internal.util import get_table_block_metadata_schema
+    from ray.data.context import DataContext
+    from ray.data.dataset import MaterializedDataset
+
+    @ray.remote
+    def block_metadata(*tables):
+        return [get_table_block_metadata_schema(t) for t in tables]
+
+    metadata = ray.get(block_metadata.remote(*refs))
+    plan = ExecutionPlan(
+        DatasetStats(metadata={"FromArrow": metadata}, parent=None),
+        DataContext.get_current().copy(),
+    )
+    return MaterializedDataset(
+        plan, LogicalPlan(FromArrow(refs, metadata), plan._context)
+    )
 
 
 #: past this exchange width the driver-side O(blocks x P) ref fan of
@@ -210,12 +309,14 @@ def exchange_map_groups(
     empty merge tasks.  Past :data:`TASK_EXCHANGE_MAX_PARTITIONS` the
     same call runs as ``ds.groupby(key).map_groups(group_fn)`` (a
     bucket fn key becomes a temporary bucket column).  The raw path
-    executes ``ds``'s lineage NOW (``materialize``); with an explicit
+    executes ``ds``'s lineage NOW (``materialize``) and packs its
+    blocks into split tasks by their metadata bytes; with an explicit
     width the fallback stays lazy.  Returns a Dataset with one block
     per non-empty bucket.
     """
     import ray
     import ray.data as rd
+    from ray.data.dataset import MaterializedDataset
 
     if num_partitions is None:
         ds, num_partitions = _materialized_width(ds)
@@ -261,10 +362,16 @@ def exchange_map_groups(
             )
         return ds.groupby(key).map_groups(group_fn, batch_format=batch_format)
 
+    # the blocks of the materialized input, packed by their metadata
+    # bytes into split tasks (a second materialize of a materialized
+    # input would cost two more Dataset builds, ~14 ms on one CPU)
+    if not isinstance(ds, MaterializedDataset):
+        ds = ds.materialize()
+    bundles = ds.iter_internal_ref_bundles()
+    blocks = [b for bundle in bundles for b in bundle.blocks]
+    groups = _pack_groups([meta.size_bytes or 0 for _, meta in blocks])
     refs, rows = exchange_to_bucket_refs(
-        # materialize first: to_arrow_refs on a lazy dataset re-runs its
-        # lineage to fetch the schema
-        ds.materialize().to_arrow_refs(),
+        [tuple(blocks[i][0] for i in g) for g in groups],
         bucket_fn,
         num_partitions,
         merge_fn=lambda t: merge_fn(t) if t.num_rows else t,
@@ -272,7 +379,7 @@ def exchange_map_groups(
     )
     live = [ref for ref, n in zip(refs, rows) if n]
     if live:
-        return rd.from_arrow_refs(live)
+        return dataset_from_refs(live)
     empty = ray.get(refs[0])
     try:
         empty = fn(empty).slice(0, 0)

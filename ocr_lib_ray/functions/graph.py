@@ -535,9 +535,8 @@ def _pagerank_tasks_loop(
     hot-spread placement differences cannot change the result).
     """
     import ray
-    import ray.data as rd
 
-    from .bucket_tasks import exchange_to_bucket_refs
+    from .bucket_tasks import dataset_from_refs, exchange_to_bucket_refs
     from .joins import bucket_ints
 
     P = num_partitions
@@ -686,7 +685,7 @@ def _pagerank_tasks_loop(
             [pa.array(st["n"]), pa.array(st["r"])], names=["node", "rank_micro"]
         )
 
-    return rd.from_arrow_refs([finish.remote(s) for s in state_refs])
+    return dataset_from_refs([finish.remote(s) for s in state_refs])
 
 
 def purchase_graph_edges(orders_ds, lineitem_ds, num_partitions: int | None = None):

@@ -122,7 +122,10 @@ def derive_num_partitions(
     from corpus size: ``max(floor, ceil(rows / rows_per_group))``.
 
     The floor preserves parallelism on small inputs (the historical
-    static defaults — 32 join partitions, 64 window buckets); past
+    static defaults — 32 join partitions, 64 window buckets) without
+    starting 32 task pairs on a small host: the exchange packs its
+    buckets into ``min(buckets, cluster CPUs)`` or more merge tasks of
+    at most one block target of bytes each; past
     ``floor * rows_per_group`` rows the width grows so no single
     merge task materializes an unbounded bucket (the
     :func:`ocr_lib_ray.functions.dedup.derive_group_buckets` policy,

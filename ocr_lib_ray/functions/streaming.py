@@ -323,15 +323,15 @@ def streaming_sessionize(
     :func:`prepare_bucket_log`), feed every bucket's worker in parallel
     from its own partition (one raw Ray task per bucket), flush, and
     assemble the result from the workers' Arrow tables WITHOUT driver
-    materialization (``from_arrow_refs``).  With ``checkpoint_dir``
-    set, workers restore from any existing snapshot first (replaying
-    only the un-checkpointed tail) and snapshot every
+    materialization (``bucket_tasks.dataset_from_refs``).  With
+    ``checkpoint_dir`` set, workers restore from any existing snapshot
+    first (replaying only the un-checkpointed tail) and snapshot every
     ``checkpoint_every_chunks`` chunks.
     """
     import shutil
     import tempfile
 
-    import ray.data as rd
+    from .bucket_tasks import dataset_from_refs
 
     gap_us = gap_seconds * 1_000_000
     owns_log = log_dir is None
@@ -382,7 +382,7 @@ def streaming_sessionize(
         ray.get(feeds)
         # flush results stay in the object store — the driver holds refs
         flush_refs = [w.flush.remote() for w in workers]
-        ds = rd.from_arrow_refs(flush_refs)
+        ds = dataset_from_refs(flush_refs)
         ds = ds.materialize()  # consume before the workers are released
     finally:
         if owns_log:

@@ -138,8 +138,8 @@ def test_exchange_aggregate_zero_rows_keeps_the_result_schema(key_kind, blocks):
 
 @pytest.mark.usefixtures("ray_session")
 def test_exchange_aggregate_width():
-    """The width is min(derive_num_partitions, blocks): one split task
-    per input block and at most one bucket per block."""
+    """The width is min(derive_num_partitions, blocks): at most one
+    bucket per input block."""
     seen = []
     real = bucket_tasks.exchange_map_groups
 

@@ -13,6 +13,8 @@
 * The dedup family aggregates through ``bucket_tasks.exchange_aggregate``:
   no Ray Data ``.aggregate(`` or ``.unique(`` (each a sort shuffle) is
   left in its modules or in the ``dedup_exact`` query.
+* Object refs become a Dataset through ``bucket_tasks.dataset_from_refs``
+  (one metadata task): no ``rd.from_arrow_refs`` (one per ref) is left.
 """
 
 import ast
@@ -127,3 +129,7 @@ def test_dedup_family_aggregates_in_the_exchange():
         if isinstance(node, ast.Attribute) and node.attr in ("aggregate", "unique")
     ] == []
     assert "exchange_aggregate" in ast.unparse(query)
+
+
+def test_refs_become_a_dataset_through_one_helper():
+    assert _attribute_sites("from_arrow_refs") == []
