@@ -29,19 +29,24 @@ counts.
   partials.
 
 Task sizing: both waves pack their items (input blocks by metadata
-bytes, filled buckets by wave-1 bytes) into consecutive groups of at
-most ``DataContext.target_max_block_size`` bytes, one task per group,
-and never fewer groups than ``min(items, cluster CPUs)``.  A host with
-as many CPUs as blocks and buckets starts one task per block and per
-bucket; a small host starts fewer, so Ray's fixed per-task cost no
-longer scales with ``num_partitions``.  :func:`dataset_from_refs` hands
-the merged buckets to a Dataset with one metadata task, not one per
-bucket.
+bytes, filled buckets by wave-1 bytes) into consecutive groups, one
+task per group (:func:`_pack_groups`).  A host with at least as many
+CPUs as items starts one task per item and lets Ray balance them.  A
+smaller host starts about one task per CPU, each holding about an
+equal share of the bytes and at most
+``DataContext.target_max_block_size`` of them, so Ray's fixed per-task
+cost no longer scales with ``num_partitions`` and a hot bucket (over
+two CPUs' shares) does not share a task with its neighbours.  Both
+waves yield their buckets one at a time.  :func:`dataset_from_refs`
+hands the merged buckets to a Dataset with one metadata task per merge
+task, not one per bucket.
 
 Partitioning assumption (documented per the custom-operator rule): one
 bucket's rows must fit one task — ``num_partitions`` comes from
 ``derive_num_partitions``, by the caller or by the exchange itself.  A
-merge task holds at most one block target of buckets, or one bucket.
+merge task reads at most one block target of buckets, or one bucket,
+and holds one bucket's input and result at a time; a split task holds
+its blocks' sorted copies, at most one block target or one block.
 
 Driver cost: the driver holds O(split tasks x num_partitions) split
 refs — fine for P up to a few hundred; past that the Dataset sort
@@ -71,27 +76,36 @@ def split_table_by_bucket(tbl: pa.Table, buckets: np.ndarray, num_partitions: in
 
 def _pack_groups(sizes: list) -> list:
     """Consecutive groups of the indices of ``sizes`` (bytes per item),
-    one task each: never fewer than ``min(items, cluster CPUs)``
-    groups, and none holding more than
-    ``DataContext.target_max_block_size`` bytes unless it is one item.
-    The items first split into that many runs of about equal count,
-    then each run cuts wherever the next item would pass the target."""
+    one task each.  With no more items than cluster CPUs every item is
+    its own group.  Otherwise the items fall into one run per CPU, of
+    about equal bytes (item ``i`` goes to run ``floor(CPUs x bytes
+    before i's midpoint / total)``), so an item of more than two CPUs'
+    shares runs alone rather than dragging its neighbours along, as
+    runs of equal count would; then each run cuts
+    wherever the next item would pass
+    ``DataContext.target_max_block_size``.  A group passes the target
+    only when it is one item."""
     import ray
     from ray.data import DataContext
 
     cpus = int(ray.cluster_resources().get("CPU", 1))
+    if len(sizes) <= cpus:
+        return [[i] for i in range(len(sizes))]
     target = DataContext.get_current().target_max_block_size
-    groups = []
-    for run in np.array_split(np.arange(len(sizes)), max(1, min(len(sizes), cpus))):
-        group, held = [], 0
-        for i in run.tolist():
-            if group and target is not None and held + sizes[i] > target:
-                groups.append(group)
-                group, held = [], 0
-            group.append(i)
-            held += sizes[i]
-        if group:
-            groups.append(group)
+    w = np.asarray(sizes, dtype=np.float64)
+    if not w.sum():  # no byte counts: runs of equal count
+        w = np.ones(len(sizes))
+    mids = np.cumsum(w) - w / 2
+    run_of = np.minimum((mids * cpus / w.sum()).astype(np.int64), cpus - 1)
+    groups, held = [], 0
+    for i, size in enumerate(sizes):
+        same_run = groups and run_of[groups[-1][-1]] == run_of[i]
+        if same_run and (target is None or held + size <= target):
+            groups[-1].append(i)
+            held += size
+        else:
+            groups.append([i])
+            held = size
     return groups
 
 
@@ -115,11 +129,12 @@ def exchange_to_bucket_refs(
       and bytes per bucket.
     * the driver sums those (the exchange's map-side statistics) and
       packs the buckets they fill into consecutive groups
-      (:func:`_pack_groups`: at most one block target of bytes, or one
-      bucket, per group).
+      (:func:`_pack_groups`: about one per CPU by bytes, at most one
+      block target of bytes, or one bucket, per group).
     * wave 2 — one ``merge`` task per group (``num_returns`` = its
-      buckets): per bucket, concat the non-empty slices and apply
-      ``merge_fn`` (default: return the concat table).  Every empty
+      buckets): per bucket, concat the non-empty slices, apply
+      ``merge_fn`` (default: return the concat table) and yield the
+      result before the next bucket starts.  Every empty
       bucket shares ONE result: ``merge_fn`` run on the driver over
       block 0's (zero-row) slice of the first empty bucket.
 
@@ -168,27 +183,30 @@ def exchange_to_bucket_refs(
         bk = np.asarray(bucket_fn(tbl), dtype=np.int64)
         return split_table_by_bucket(tbl, bk, num_partitions)
 
+    # both waves are generators under a fixed num_returns: Ray stores
+    # each bucket as it is yielded, so a merge task holds one bucket's
+    # input and result at a time however many buckets it merges
     @ray.remote
     def split(*tbls):
         # every block splits on its own, so a bucket's rows arrive in
         # the chunks and order one task per block gives them (pyarrow's
         # group_by output order follows the chunk layout)
         blocks = [split_block(t) for t in tbls]
-        parts = []
+        stats = []
         for b in range(num_partitions):
             live = [p[b] for p in blocks if p[b].num_rows > 0] or [blocks[0][b]]
-            parts.append(pa.concat_tables(live, promote_options="default"))
-        stats = [[p.num_rows for p in parts], [p.nbytes for p in parts]]
-        return (*parts, np.array(stats, np.int64))
+            part = pa.concat_tables(live, promote_options="default")
+            stats.append((part.num_rows, part.nbytes))
+            yield part
+        yield np.array(stats, np.int64).T
 
     @ray.remote
     def merge(counts, *parts):
-        outs, at = [], 0
+        at = 0
         for n in counts:
             t = pa.concat_tables(parts[at : at + n], promote_options="default")
             at += n
-            outs.append(merge_fn(t))
-        return outs[0] if len(outs) == 1 else tuple(outs)
+            yield merge_fn(t)
 
     waves = [split.options(num_returns=num_partitions + 1).remote(*t) for t in tasks]
     stats = ray.get([w[-1] for w in waves])
@@ -214,11 +232,14 @@ def exchange_to_bucket_refs(
 
 
 def dataset_from_refs(refs: list):
-    """``ray.data.from_arrow_refs(refs)`` with ONE metadata task for all
-    of ``refs`` (Ray starts one per ref): the same ``FromArrow`` plan
-    over a ``MaterializedDataset``, built as Ray 2.49's
-    ``from_arrow_refs`` (``ray/data/read_api.py``) builds it.  A Ray
-    upgrade that moves these internals fails
+    """``ray.data.from_arrow_refs(refs)`` with one metadata task per
+    task that made the refs (Ray starts one per ref): one per merge
+    group of an exchange, all of them for ``ray.put`` refs.  Each
+    metadata task reads only refs that one task wrote, so it runs where
+    they are and pulls nothing across nodes.  The Dataset is the same
+    ``FromArrow`` plan over a ``MaterializedDataset``, built as Ray
+    2.49's ``from_arrow_refs`` (``ray/data/read_api.py``) builds it.  A
+    Ray upgrade that moves these internals fails
     ``tests/test_exchange_waves.py``."""
     import ray
     from ray.data._internal.logical.interfaces import LogicalPlan
@@ -233,7 +254,16 @@ def dataset_from_refs(refs: list):
     def block_metadata(*tables):
         return [get_table_block_metadata_schema(t) for t in tables]
 
-    metadata = ray.get(block_metadata.remote(*refs))
+    by_task = {}
+    for i, ref in enumerate(refs):
+        by_task.setdefault(ref.task_id(), []).append(i)
+    metas = ray.get(
+        [block_metadata.remote(*[refs[i] for i in idx]) for idx in by_task.values()]
+    )
+    metadata = [None] * len(refs)
+    for idx, got in zip(by_task.values(), metas):
+        for i, meta in zip(idx, got):
+            metadata[i] = meta
     plan = ExecutionPlan(
         DatasetStats(metadata={"FromArrow": metadata}, parent=None),
         DataContext.get_current().copy(),

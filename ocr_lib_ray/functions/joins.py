@@ -123,9 +123,9 @@ def derive_num_partitions(
 
     The floor preserves parallelism on small inputs (the historical
     static defaults — 32 join partitions, 64 window buckets) without
-    starting 32 task pairs on a small host: the exchange packs its
-    buckets into ``min(buckets, cluster CPUs)`` or more merge tasks of
-    at most one block target of bytes each; past
+    starting 32 task pairs on a small host: past one bucket per
+    cluster CPU the exchange packs its buckets into about one merge
+    task per CPU, by bytes, of at most one block target each; past
     ``floor * rows_per_group`` rows the width grows so no single
     merge task materializes an unbounded bucket (the
     :func:`ocr_lib_ray.functions.dedup.derive_group_buckets` policy,

@@ -14,7 +14,8 @@
   no Ray Data ``.aggregate(`` or ``.unique(`` (each a sort shuffle) is
   left in its modules or in the ``dedup_exact`` query.
 * Object refs become a Dataset through ``bucket_tasks.dataset_from_refs``
-  (one metadata task): no ``rd.from_arrow_refs`` (one per ref) is left.
+  (one metadata task per producing task): no ``rd.from_arrow_refs`` (one
+  per ref) is left.
 """
 
 import ast

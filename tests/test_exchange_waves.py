@@ -7,9 +7,11 @@ one-task-per-bucket exchange they replaced (``tests/frozen_exchange.py``).
   zero-row and schema-less blocks, widths 1 to 16, and byte targets
   small enough that one bucket outgrows them.
 * Ray's timeline shows ``min(blocks, CPUs)`` split tasks,
-  ``min(filled buckets, CPUs)`` merge tasks and one metadata task, and
-  no packed group passes ``DataContext.target_max_block_size`` unless
-  it is one block or one bucket.
+  ``min(filled buckets, CPUs)`` merge tasks and one metadata task per
+  merge, and no packed group passes ``DataContext.target_max_block_size``
+  unless it is one block or one bucket.
+* ``_pack_groups`` splits items into runs of about equal bytes, one per
+  CPU: a hot item does not share its task with its neighbours.
 * ``dataset_from_refs`` builds the Dataset ``rd.from_arrow_refs``
   builds.
 """
@@ -174,7 +176,8 @@ def _tasks_since(t0: float, expect_any: str) -> Counter:
 @pytest.mark.parametrize("filled", [1, 3, 6])
 def test_waves_start_one_task_per_cpu_for_small_blocks(filled):
     """N small blocks and k filled buckets: min(N, CPUs) splits,
-    min(k, CPUs) merges and one metadata task for the handoff."""
+    min(k, CPUs) merges and one metadata task per merge for the
+    handoff."""
     cpus = int(ray.cluster_resources()["CPU"])
     n_blocks, P = 10, 8
     t = pa.table({"b": pa.array([i % filled for i in range(40)], pa.int64())})
@@ -187,15 +190,14 @@ def test_waves_start_one_task_per_cpu_for_small_blocks(filled):
     names = _tasks_since(t0, "block_metadata")
     assert names["split"] == min(n_blocks, cpus)
     assert names["merge"] == min(filled, cpus)
-    assert names["block_metadata"] == 1
+    assert names["block_metadata"] == names["merge"]
 
 
 @pytest.mark.usefixtures("ray_session")
 def test_packed_groups_hold_at_most_one_block_target():
     """With the block target lowered to 2.5 blocks' bytes, every split
     and merge group stays under it unless it holds one block or one
-    bucket, there are never fewer groups than min(items, CPUs), and
-    the timeline shows one task per group."""
+    bucket, and the timeline shows one task per group."""
     cpus = int(ray.cluster_resources()["CPU"])
     n_blocks, P = 12, 8
     t = pa.table(
@@ -226,13 +228,39 @@ def test_packed_groups_hold_at_most_one_block_target():
     assert max(merge_sizes) > target
     for sizes, groups in seen:
         assert [i for g in groups for i in g] == list(range(len(sizes)))
-        assert len(groups) >= min(len(sizes), cpus)
+        if len(sizes) <= cpus:
+            assert groups == [[i] for i in range(len(sizes))]
         for g in groups:
             assert len(g) == 1 or sum(sizes[i] for i in g) <= target, (sizes, g)
     assert len(split_groups) > min(n_blocks, cpus)
     names = _tasks_since(t0, "block_metadata")
     assert names["split"] == len(split_groups)
     assert names["merge"] == len(merge_groups)
+
+
+@pytest.mark.parametrize(
+    "sizes, cpus, want",
+    [
+        # equal items: one run per CPU
+        ([10] * 8, 4, [[0, 1], [2, 3], [4, 5], [6, 7]]),
+        ([10] * 10, 4, [[0, 1], [2, 3, 4], [5, 6], [7, 8, 9]]),
+        # no more items than CPUs: one task each, whatever the bytes
+        ([1, 100, 1], 4, [[0], [1], [2]]),
+        # a hot item (half the bytes) runs alone; the rest share the
+        # other CPUs by bytes, not by count
+        (
+            [1] * 4 + [40] + [1] * 36,
+            4,
+            [[0, 1, 2, 3], [4], list(range(5, 21)), list(range(21, 41))],
+        ),
+        ([40] + [1] * 8, 4, [[0], [1, 2, 3, 4, 5, 6, 7, 8]]),
+        # no byte counts: runs of equal count
+        ([0] * 6, 2, [[0, 1, 2], [3, 4, 5]]),
+    ],
+)
+def test_pack_groups_balances_bytes_per_cpu(sizes, cpus, want):
+    with mock.patch.object(ray, "cluster_resources", lambda: {"CPU": cpus}):
+        assert bucket_tasks._pack_groups(sizes) == want
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -244,11 +272,22 @@ def test_dataset_from_refs_matches_from_arrow_refs():
         pa.table({"a": pa.array([], pa.int64()), "s": pa.array([], pa.string())}),
         pa.table({"a": pa.array([3], pa.int64()), "s": ["ü"]}),
     ]
-    refs = [ray.put(x) for x in tbls]
+
+    @ray.remote(num_returns=2)
+    def two(a, b):
+        return a, b
+
+    # refs from two tasks and the driver, interleaved: each metadata
+    # task's results must land on the right blocks
+    made = two.remote(tbls[0], tbls[2])
+    refs = [made[0], ray.put(tbls[1]), made[1], ray.put(tbls[0])]
     got = bucket_tasks.dataset_from_refs(refs)
     want = rd.from_arrow_refs(refs)
     assert got.schema() == want.schema()
-    assert got.count() == want.count() == 3
-    assert got.num_blocks() == want.num_blocks() == 3
+    assert got.count() == want.count() == 5
+    assert got.num_blocks() == want.num_blocks() == 4
+    assert [
+        m.num_rows for b in got.iter_internal_ref_bundles() for _, m in b.blocks
+    ] == [2, 0, 1, 2]
     assert got.take_all() == want.take_all()
     assert got.map_batches(lambda b: b, batch_format="pyarrow").take_all() == want.take_all()
