@@ -1031,9 +1031,10 @@ def _q_graph_rank(sf_dir: str):
     micro-units) over the cyclic purchase graph (customer→supplier
     edges + supplier→customer return back-edges) — the domain-rank
     quality-prior shape of web curation (host-graph centrality as a
-    crawl/quality weight).  Per iteration: one bucketed hash-join of
-    edges against ranks, one Sum groupby, one join back onto the node
-    table; only two scalars ever reach the driver."""
+    crawl/quality weight).  Per iteration: two raw task waves over
+    per-bucket refs (edges joined to ranks with per-destination partial
+    sums, then the final Sum joined back onto the node rows); only the
+    per-bucket dangling-mass scalars reach the driver."""
     import ray.data as rd
 
     from ocr_lib_ray.functions.graph import pagerank_micro, purchase_graph_edges
@@ -1156,7 +1157,7 @@ def _q_graph_triangles(sf_dir: str):
     """Per-edge triangle support over the co-supplier graph (suppliers
     sharing an order) — DEGREE-ORDERED wedge generation inside hash
     buckets (O(E^1.5) wedge bound, hub-safe), closed against the edge
-    set with a tagged union + one groupby."""
+    set with a tagged union + one Sum aggregate."""
     import ray.data as rd
 
     from ocr_lib_ray.functions.graph import cosupplier_edges, triangle_support

@@ -10,32 +10,23 @@ quantity a non-negative int64, every division a floor, so the result
 is order-free, batch-size-free, and bit-equal to the unrolled-CTE SQL
 oracle (DuckDB ``//`` truncates toward zero, which equals floor on the
 non-negative domain; the engine never produces a negative rank).
-Bound: per-node incoming mass <= total rank mass ~= N * 2.2e6; since
-round 4 the whole update is int64 end-to-end (no float64 left-join
-round-trip).  The binding term is ``DAMP_NUM * (inc + share)`` inside
-:func:`update_bucket` — an 85× int64 multiply that numpy wraps
-silently — so exactness holds while TOTAL rank mass stays below
-2^63 / DAMP_NUM, i.e. N up to ~5e10 nodes.
+Bound: per-node incoming mass <= total rank mass ~= N * 2.2e6; the
+whole update is int64 end-to-end.  The binding term is
+``DAMP_NUM * (inc + share)`` in wave B of :func:`_pagerank_tasks_loop`
+— an 85× int64 multiply that numpy wraps silently — so exactness holds
+while TOTAL rank mass stays below 2^63 / DAMP_NUM, i.e. N up to ~5e10
+nodes.
 
-Scale shape: one iteration = exactly TWO bucket exchanges.  Exchange
-A (keyed by src) is a tagged union of the static pre-tagged edge table
-with the rank state; one group task per bucket joins edges to their
-source state rows (searchsorted) AND pre-sums contributions per
-destination, so exchange B ships per-bucket partial sums (bounded by
-distinct dst per bucket), never per-edge rows.  Exchange B (keyed by
-dst == n) unions those partials with the node table and finishes
-{final Sum + left join + damped update} in one group task per bucket.
-While ``fits_task_exchange(num_partitions)`` both exchanges run as raw
-task waves over per-bucket refs (:func:`_pagerank_tasks_loop`).  Past
-that width they run through ``run_bucket_groups``'s sort-shuffle
-fallback, and the new state is repartition-clamped to num_partitions:
-the sort shuffle's output block COUNT tracks its input block count,
-and left unclamped those empties compound geometrically across
-iterations (measured 24.5 s -> 107.7 s per iteration at sf0.01).
-Nothing is collected on the driver except the two per-iteration
-scalars (dangling mass, node count).  The rank state is
-``materialize()``d per iteration — the iteration checkpoint that keeps
-lineage from re-executing all previous rounds.
+Scale shape: setup is two bucket exchanges (distinct edges, then the
+seeded node state with out-degrees); then the edges and the state are
+exchanged ONCE into per-bucket refs and each iteration is two raw task
+waves over them (:func:`_pagerank_tasks_loop`), at every
+``num_partitions``.  Wave A (per src bucket) joins edges to their
+source state rows and pre-sums contributions per destination, so only
+per-bucket partial sums (bounded by distinct dst per bucket) move
+between buckets, never per-edge rows; wave B (per dst bucket) finishes
+{final Sum + left join + damped update}.  Nothing is collected on the
+driver except the per-iteration dangling mass, one scalar per bucket.
 """
 
 from __future__ import annotations
@@ -50,24 +41,14 @@ DAMP_DEN = 100
 
 
 def _distinct_pairs(pairs_ds):
-    """DISTINCT (src, dst) rows: per-batch np.unique partial (cuts the
-    shuffle to distinct-per-block), then one two-key groupby (Ray's
-    default sort-shuffle partitioning — not num_partitions-clamped)."""
+    """DISTINCT (src, dst) rows: one count aggregate over the pair key
+    (``bucket_tasks.exchange_aggregate``, whose per-block combiner cuts
+    the exchange to distinct pairs per block), count dropped."""
+    from .bucket_tasks import exchange_aggregate
 
-    def partial(b: pa.Table) -> pa.Table:
-        s = b.column("src").to_numpy(zero_copy_only=False)
-        d = b.column("dst").to_numpy(zero_copy_only=False)
-        u = np.unique(np.stack([s, d], axis=1), axis=0)
-        return pa.Table.from_arrays(
-            [pa.array(u[:, 0]), pa.array(u[:, 1])], names=["src", "dst"]
-        )
-
-    return (
-        pairs_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["src", "dst"])
-        .count()
-        .select_columns(["src", "dst"])
-    )
+    return exchange_aggregate(
+        pairs_ds, ["src", "dst"], [(None, "count", "n")]
+    ).select_columns(["src", "dst"])
 
 
 #: below this out-degree a source is never worth salting — replicating
@@ -115,23 +96,20 @@ def pagerank_micro(
 
     Hub-skew hardening: sources whose out-degree exceeds
     max(E / num_partitions, ``hot_degree_min`` or
-    :data:`PAGERANK_HOT_MIN_DEGREE`) are salted through the contribs
-    join (``hash_join(replicate_keys=...)``) — their single state row
-    replicates into every bucket while their edge rows spread
-    uniformly, so a power-law hub cannot melt one merge task.  The
-    output is bit-identical with or without salting (the join result
-    SET is unchanged).
+    :data:`PAGERANK_HOT_MIN_DEGREE`) are salted: their edge rows spread
+    uniformly over the buckets and their single state row ships to
+    every wave-A task, so a power-law hub cannot melt one task.  The
+    output is bit-identical with or without salting (integer sums
+    commute).
 
     The iterations run as raw task waves (:func:`_pagerank_tasks_loop`)
-    while ``fits_task_exchange(num_partitions)``; past that width they
-    run as two Dataset exchanges per iteration."""
+    at every width."""
     if num_partitions is None:
         from .joins import derive_num_partitions
 
         num_partitions = derive_num_partitions(edges_ds, floor=32)
     import ray.data as rd
 
-    from .bucket_tasks import fits_task_exchange
     from .joins import bucket_int_pairs, bucket_ints, run_bucket_groups, spread_rows
 
     # Setup = two exchanges.  S1 dedups edges bucketed by the (src, dst)
@@ -252,287 +230,39 @@ def pagerank_micro(
             return bk
         return spread_rows(bk, np.isin(keys, hot_arr), num_partitions)
 
-    if fits_task_exchange(num_partitions):
-        return _pagerank_tasks_loop(
-            edges, state, hot_arr, n_nodes, num_partitions, iters, _spread_hot
-        )
-
-    # FUSED exchange A left side, tagged ONCE (static across iterations):
-    # edges under the union schema (k=src, dst, r=0, outdeg=0, side=0).
-    # The zero fills are the other side's columns and are never read
-    # (the _union_bucketed zero-fill discipline).
-    def tag_edges(b: pa.Table) -> pa.Table:
-        src = np.asarray(
-            b.column("src").to_numpy(zero_copy_only=False), dtype=np.int64
-        )
-        bk = _spread_hot(src, bucket_ints(src, num_partitions))
-        n = b.num_rows
-        z = np.zeros(n, dtype=np.int64)
-        return pa.Table.from_arrays(
-            [
-                b.column("src"),
-                b.column("dst"),
-                pa.array(z),
-                pa.array(z),
-                pa.array(bk, pa.int32()),
-                pa.array(np.zeros(n, dtype=np.int8)),
-            ],
-            names=["k", "dst", "r", "outdeg", "bucket", "side"],
-        )
-
-    edges_tagged = edges.map_batches(tag_edges, batch_format="pyarrow").materialize()
-
-    def tag_state_a(b: pa.Table) -> pa.Table:
-        """State under the exchange-A union schema (k=n, dst=0, r,
-        outdeg, side=1); HOT node rows replicate into every bucket."""
-        nk = np.asarray(b.column("n").to_numpy(zero_copy_only=False), dtype=np.int64)
-        bk = bucket_ints(nk, num_partitions)
-        n = b.num_rows
-        t = pa.Table.from_arrays(
-            [
-                b.column("n"),
-                pa.array(np.zeros(n, dtype=np.int64)),
-                b.column("r"),
-                b.column("outdeg"),
-            ],
-            names=["k", "dst", "r", "outdeg"],
-        )
-        if hot_arr is not None:
-            mask = np.isin(nk, hot_arr)
-            if mask.any():
-                cold = t.filter(pa.array(~mask)).append_column(
-                    "bucket", pa.array(bk[~mask], pa.int32())
-                )
-                hot_t = t.filter(pa.array(mask))
-                parts = [cold] + [
-                    hot_t.append_column(
-                        "bucket", pa.array([bnum] * hot_t.num_rows, pa.int32())
-                    )
-                    for bnum in range(num_partitions)
-                ]
-                out = pa.concat_tables(parts)
-                return out.append_column(
-                    "side", pa.array(np.ones(out.num_rows, dtype=np.int8))
-                )
-        return t.append_column("bucket", pa.array(bk, pa.int32())).append_column(
-            "side", pa.array(np.ones(n, dtype=np.int8))
-        )
-
-    def contrib_partials(g: pa.Table) -> pa.Table:
-        """Per-bucket fused join + partial Sum: edges meet their source
-        state rows (searchsorted on the sorted node keys — every cold
-        src hashes to this bucket with its state row, every hot src
-        finds the replicated row), emit (dst, contrib) PRE-SUMMED per
-        dst via sort + int64 reduceat (order-free integer adds, so the
-        result is batch/partition invariant)."""
-        side = g.column("side").to_numpy(zero_copy_only=False)
-        k = np.asarray(g.column("k").to_numpy(zero_copy_only=False), dtype=np.int64)
-        st = side == 1
-        ek, ed = k[~st], np.asarray(
-            g.column("dst").to_numpy(zero_copy_only=False), dtype=np.int64
-        )[~st]
-        if len(ek) == 0:
-            return pa.Table.from_arrays(
-                [pa.array([], pa.int64()), pa.array([], pa.int64())],
-                names=["k", "contrib"],
-            )
-        sk = k[st]
-        sr = np.asarray(g.column("r").to_numpy(zero_copy_only=False), dtype=np.int64)[st]
-        sod = np.asarray(
-            g.column("outdeg").to_numpy(zero_copy_only=False), dtype=np.int64
-        )[st]
-        order = np.argsort(sk, kind="stable")
-        sk, sr, sod = sk[order], sr[order], sod[order]
-        # hot replication can duplicate a state row in this bucket only
-        # for hot keys (replicated row + its home-bucket row never
-        # coexist: replication REPLACES the home placement) — but keep
-        # the lookup robust to duplicates via searchsorted-left anyway
-        pos = np.searchsorted(sk, ek)
-        # fail loudly (like the old hash_join path) if the every-src-
-        # has-an-in-bucket-state-row invariant is ever broken by a
-        # future edit — otherwise mass silently credits the wrong node
-        if pos.max(initial=-1) >= len(sk) or not (sk[pos] == ek).all():
-            raise ValueError(
-                "pagerank exchange A: edge source missing its in-bucket "
-                "state row (hot-replication / bucketing invariant broken)"
-            )
-        contrib = sr[pos] // sod[pos]  # every src has outdeg >= 1
-        o = np.argsort(ed, kind="stable")
-        eds, cs = ed[o], contrib[o]
-        starts = np.flatnonzero(np.concatenate([[True], eds[1:] != eds[:-1]]))
-        sums = np.add.reduceat(cs, starts)
-        return pa.Table.from_arrays(
-            [pa.array(eds[starts]), pa.array(sums.astype(np.int64))],
-            names=["k", "contrib"],
-        )
-
-    def tag_state_b(b: pa.Table) -> pa.Table:
-        """State under the exchange-B union schema (k=n, outdeg,
-        contrib=0, side=1) — no hot handling: incoming partials are
-        pre-summed per bucket, so a hot DESTINATION carries at most
-        num_partitions partial rows globally."""
-        nk = np.asarray(b.column("n").to_numpy(zero_copy_only=False), dtype=np.int64)
-        bk = bucket_ints(nk, num_partitions)
-        n = b.num_rows
-        return pa.Table.from_arrays(
-            [
-                b.column("n"),
-                pa.array(np.zeros(n, dtype=np.int64)),
-                b.column("outdeg"),
-                pa.array(bk, pa.int32()),
-                pa.array(np.ones(n, dtype=np.int8)),
-            ],
-            names=["k", "contrib", "outdeg", "bucket", "side"],
-        )
-
-    def tag_partials_b(b: pa.Table) -> pa.Table:
-        dk = np.asarray(b.column("k").to_numpy(zero_copy_only=False), dtype=np.int64)
-        bk = bucket_ints(dk, num_partitions)
-        n = b.num_rows
-        return pa.Table.from_arrays(
-            [
-                b.column("k"),
-                b.column("contrib"),
-                pa.array(np.zeros(n, dtype=np.int64)),
-                pa.array(bk, pa.int32()),
-                pa.array(np.zeros(n, dtype=np.int8)),
-            ],
-            names=["k", "contrib", "outdeg", "bucket", "side"],
-        )
-
-    for _ in range(iters):
-        # dangling mass: tiny per-batch partials, reduced on the driver
-        dang = sum(
-            row["s"]
-            for row in state.map_batches(
-                lambda b: pa.Table.from_arrays(
-                    [
-                        pa.array(
-                            [
-                                int(
-                                    b.column("r")
-                                    .to_numpy(zero_copy_only=False)[
-                                        b.column("outdeg").to_numpy(zero_copy_only=False) == 0
-                                    ]
-                                    .sum()
-                                )
-                            ],
-                            pa.int64(),
-                        )
-                    ],
-                    names=["s"],
-                ),
-                batch_format="pyarrow",
-            ).take_all()
-        )
-        dang_share = dang // n_nodes
-
-        # exchange A (keyed by src == n): join + per-dst partial sums
-        partials = run_bucket_groups(
-            edges_tagged.union(state.map_batches(tag_state_a, batch_format="pyarrow")),
-            num_partitions,
-            contrib_partials,
-            batch_format="pyarrow",
-        )
-
-        def update_bucket(g: pa.Table, _share=dang_share) -> pa.Table:
-            """Exchange B: final Sum of the partials + the left join
-            back onto the node table + the damped update, in one group
-            task per bucket.  inc stays int64 end-to-end (no
-            float64 round-trip, so the 2^53 join bound is gone); the
-            binding term is DAMP_NUM * (inc + share), so exactness
-            requires total rank mass < 2^63 / DAMP_NUM (N ~5e10)."""
-            side = g.column("side").to_numpy(zero_copy_only=False)
-            k = np.asarray(
-                g.column("k").to_numpy(zero_copy_only=False), dtype=np.int64
-            )
-            st = side == 1
-            sk = k[st]
-            sod = np.asarray(
-                g.column("outdeg").to_numpy(zero_copy_only=False), dtype=np.int64
-            )[st]
-            order = np.argsort(sk, kind="stable")
-            sk, sod = sk[order], sod[order]
-            inc = np.zeros(len(sk), dtype=np.int64)
-            pk = k[~st]
-            if len(pk):
-                pcv = np.asarray(
-                    g.column("contrib").to_numpy(zero_copy_only=False),
-                    dtype=np.int64,
-                )[~st]
-                o = np.argsort(pk, kind="stable")
-                pks, pcs = pk[o], pcv[o]
-                starts = np.flatnonzero(
-                    np.concatenate([[True], pks[1:] != pks[:-1]])
-                )
-                sums = np.add.reduceat(pcs, starts)
-                pos = np.searchsorted(sk, pks[starts])
-                # loud guard on the every-dst-is-a-node-in-this-bucket
-                # invariant (see contrib_partials): short-circuit the
-                # bound check before indexing sk
-                if pos.max(initial=-1) >= len(sk) or not (
-                    sk[pos] == pks[starts]
-                ).all():
-                    raise ValueError(
-                        "pagerank exchange B: contribution destination "
-                        "missing its in-bucket node row (bucketing "
-                        "invariant broken)"
-                    )
-                inc[pos] = sums  # every dst is a node in this bucket
-            r = BASE + (DAMP_NUM * (inc + _share)) // DAMP_DEN
-            return pa.Table.from_arrays(
-                [pa.array(sk), pa.array(r), pa.array(sod)],
-                names=["n", "r", "outdeg"],
-            )
-
-        # the repartition clamps the sort shuffle's output block count
-        # (module docstring); it is a pass over the node-sized state
-        state = (
-            run_bucket_groups(
-                partials.map_batches(tag_partials_b, batch_format="pyarrow").union(
-                    state.map_batches(tag_state_b, batch_format="pyarrow")
-                ),
-                num_partitions,
-                update_bucket,
-                batch_format="pyarrow",
-            )
-            .repartition(num_partitions)
-            .materialize()
-        )
-
-    return state.select_columns(["n", "r"]).map_batches(
-        lambda b: b.rename_columns(["node", "rank_micro"]), batch_format="pyarrow"
+    return _pagerank_tasks_loop(
+        edges, state, hot_arr, n_nodes, num_partitions, iters, _spread_hot
     )
 
 
 def _pagerank_tasks_loop(
     edges, state, hot_arr, n_nodes, num_partitions, iters, spread_hot
 ):
-    """The raw-task iteration loop (default while
-    ``fits_task_exchange(num_partitions)``): both Dataset exchanges key
-    by ``bucket(node)``, so the state partition is INVARIANT across
-    iterations — but a ``groupby`` cannot know that and pays a full
-    sort-shuffle barrier per exchange per iteration anyway.  Here the
-    edges and the seeded state are exchanged ONCE into per-bucket
-    ObjectRefs (two task waves each, ``bucket_tasks``), and every
-    iteration is exactly two task WAVES with object transfers only
-    bucket→bucket:
+    """The iteration loop as raw task waves.  Both of an iteration's
+    exchanges key by ``bucket(node)``, so the state partition is
+    INVARIANT across iterations; a ``groupby`` per exchange would pay a
+    full sort-shuffle barrier each time anyway.  Here the edges and
+    the seeded state are exchanged ONCE into per-bucket ObjectRefs
+    (two task waves each, ``bucket_tasks``), and every iteration is
+    exactly two task WAVES with object transfers only bucket→bucket:
 
-    * wave A (one task per src bucket): the same fused join +
-      per-dst pre-sum as ``contrib_partials``, emitting one tiny
-      (dst, partial) pair per DESTINATION bucket (``num_returns=P+1``;
-      the +1 is this bucket's dangling-mass scalar, so the old
-      per-iteration dangling pass over the state disappears too).
-    * wave B (one task per dst bucket): the same final Sum + left join
-      + damped update as ``update_bucket``, consuming its P partials
+    * wave A (one task per src bucket): the fused join of edges to
+      their source state rows (searchsorted) + a per-dst pre-sum,
+      emitting one tiny (dst, partial) pair per DESTINATION bucket
+      (``num_returns=P+1``; the +1 is this bucket's dangling-mass
+      scalar, so no separate pass over the state is needed).  The
+      driver holds these P x (P+1) refs per iteration.
+    * wave B (one task per dst bucket): the final Sum + left join
+      onto the node rows + damped update, consuming its P partials
       and its own state ref.
 
     The per-bucket edge structure is precomputed once at merge time
     (sorted by (dst_bucket, dst) with per-dst run starts), so an
     iteration's map task is {searchsorted, //, reduceat, P slices} —
-    no re-sorting.  Bit-equality with the Dataset loop is pinned by
-    test (the kernels share the int64 math; integer sums commute, so
-    hot-spread placement differences cannot change the result).
+    no re-sorting.  Bit-equality with the pure-Python reference of the
+    integer spec is pinned by test across widths, with and without hub
+    salting (integer sums commute, so hot-spread placement cannot
+    change the result).
     """
     import ray
 
@@ -739,12 +469,12 @@ def cosupplier_edges(lineitem_ds, num_partitions: int | None = None):
     construction (SKUs bought together, hosts linked from the same
     page) on the fixture tables.
 
-    The groupby keys on a HASH BUCKET of the order key, not the order
+    The exchange keys on a HASH BUCKET of the order key, not the order
     itself (the sessionize_salted lesson: per-tiny-group Python
     dispatch dominates otherwise — measured 11 s vs ~4 s at sf0.01);
     orders are resolved vectorized inside the bucket and pair emission
     loops over ORDERS (small, bounded by order size), never rows.
-    Deduped with the :func:`_distinct_pairs` partial-then-groupby."""
+    Deduped with the :func:`_distinct_pairs` count aggregate."""
     if num_partitions is None:
         from .joins import derive_num_partitions
 
@@ -820,7 +550,7 @@ def triangle_support(edges_ds, max_wedges: int = 50_000_000, num_partitions: int
     instead of C(hub_degree, 2).  Wedges are generated per apex inside
     HASH-BUCKET groups (bucket-first, never per-key dispatch),
     pre-counted per (a, b) inside the bucket, then matched against the
-    edge set with a TAGGED UNION + one (a, b) groupby.  The two degree
+    edge set with a TAGGED UNION + one (a, b) Sum aggregate.  The two degree
     joins broadcast the degree table while it fits
     ``joins.DIM_BROADCAST_MAX``; past it they are hub-salted
     (``replicate_keys``) so the hub's edge rows never funnel into one
@@ -836,8 +566,7 @@ def triangle_support(edges_ds, max_wedges: int = 50_000_000, num_partitions: int
         from .joins import derive_num_partitions
 
         num_partitions = derive_num_partitions(edges_ds, floor=32)
-    from ray.data.aggregate import Sum
-
+    from .bucket_tasks import exchange_aggregate
     from .joins import bucket_ints, hash_join
 
     # one materialization: the edge table feeds the degree scan, the
@@ -847,7 +576,7 @@ def triangle_support(edges_ds, max_wedges: int = 50_000_000, num_partitions: int
     n_edges = edges_ds.count()
 
     # per-node UNDIRECTED degree: per-batch partials over src ∪ dst,
-    # then one node-scale groupby
+    # then one node-scale aggregate
     def deg_partial(b: pa.Table) -> pa.Table:
         s = b.column("src").to_numpy(zero_copy_only=False)
         d = b.column("dst").to_numpy(zero_copy_only=False)
@@ -857,11 +586,10 @@ def triangle_support(edges_ds, max_wedges: int = 50_000_000, num_partitions: int
             names=["node", "d_part"],
         )
 
-    deg = (
-        edges_ds.map_batches(deg_partial, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Sum("d_part", alias_name="deg"))
-        .materialize()
+    deg = exchange_aggregate(
+        edges_ds.map_batches(deg_partial, batch_format="pyarrow"),
+        "node",
+        [("d_part", "sum", "deg")],
     )
     hot = _hot_keys(deg, "node", "deg", n_edges, num_partitions, None)
 
@@ -896,17 +624,16 @@ def triangle_support(edges_ds, max_wedges: int = 50_000_000, num_partitions: int
 
     oriented = e2.map_batches(orient, batch_format="pyarrow").materialize()
 
-    # exact wedge bound from ORIENTED out-degrees: one count groupby,
+    # exact wedge bound from ORIENTED out-degrees: one count aggregate,
     # per-batch partial Σ C(deg, 2), one scalar to the driver
     def degree_partial(b: pa.Table) -> pa.Table:
-        c = b.column("count()").to_numpy(zero_copy_only=False).astype(np.int64)
+        c = b.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.Table.from_arrays(
             [pa.array([int((c * (c - 1) // 2).sum())])], names=["nw"]
         )
 
     n_wedges = (
-        oriented.groupby("apex")
-        .count()
+        exchange_aggregate(oriented, "apex", [(None, "count", "n")])
         .map_batches(degree_partial, batch_format="pyarrow")
         .sum("nw")
         or 0
@@ -984,8 +711,8 @@ def triangle_support(edges_ds, max_wedges: int = 50_000_000, num_partitions: int
     tagged = wedge_rows.union(
         edges_ds.map_batches(tag_edges, batch_format="pyarrow")
     )
-    agg = tagged.groupby(["a", "b"]).aggregate(
-        Sum("nw", alias_name="nw"), Sum("has_edge", alias_name="has_edge")
+    agg = exchange_aggregate(
+        tagged, ["a", "b"], [("nw", "sum", "nw"), ("has_edge", "sum", "has_edge")]
     )
 
     def close(b: pa.Table) -> pa.Table:

@@ -137,9 +137,8 @@ def derive_num_partitions(
     Buckets are internal partitioning only, so the derived count is
     output-invariant (pinned by the bucket-count invariance tests and
     the oracle gate).  Callers with catalog row counts pass
-    ``approx_rows`` to size transformed lineages too.  A width past
-    ``bucket_tasks.TASK_EXCHANGE_MAX_PARTITIONS`` (256; 25.6M rows at
-    the defaults) runs the exchange's sort-shuffle fallback.
+    ``approx_rows`` to size transformed lineages too.  Every width runs
+    the same two-wave exchange (there is no sort-shuffle fallback).
     """
     if approx_rows is None:
         try:
@@ -431,8 +430,8 @@ def run_bucket_groups(
     carry their bucket id (in ``[0, num_partitions)``) in column
     ``bucket_col_name``: ``fn`` runs once per NON-EMPTY bucket, inside
     the exchange's merge task, with the whole bucket in one frame/table
-    (the bucket column still present).  Width gate, fallback, empty
-    result and eagerness are :func:`exchange_map_groups`'s.
+    (the bucket column still present).  Empty result and eagerness are
+    :func:`exchange_map_groups`'s.
     """
     from .bucket_tasks import exchange_map_groups
 

@@ -129,7 +129,7 @@ def write_with_manifest(extracted: rd.Dataset, out_dir: str, resume: bool = True
     # The job's partition count is unknown here, so the partition id is
     # a column key over one bucket per extracted block (extraction maps
     # each input block to one output block) — the sort shuffle's width,
-    # and past the width gate that shuffle itself.
+    # run by the same two-wave exchange at any block count.
     # Like any all-to-all, it holds the extracted corpus until it ends.
     extracted = extracted.materialize()
     manifest = exchange_map_groups(

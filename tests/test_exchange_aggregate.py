@@ -4,8 +4,7 @@
 Hypothesis tables with int, string and composite keys (null keys
 included), value columns whose groups can be all null, every op (Sum,
 Min, Max, Count), and inputs of 1, 2 and 40 blocks (exchange widths 1,
-2 and the derived 32), plus the sort-shuffle fallback forced by a zero
-width gate.  Output order is not part of the contract (Ray's
+2 and the derived 32).  Output order is not part of the contract (Ray's
 sort-based aggregate returns rows sorted by key; the exchange returns
 them by bucket), so rows compare sorted, and the schemas compare by
 column name and type.
@@ -89,19 +88,13 @@ def _fields(schema) -> list:
     tables(),
     st.sampled_from(sorted(KEYS)),
     st.sampled_from([1, 2, 40]),
-    st.booleans(),
 )
-def test_exchange_aggregate_equals_ray_groupby(t, key_kind, blocks, fallback):
+def test_exchange_aggregate_equals_ray_groupby(t, key_kind, blocks):
     key = KEYS[key_kind]
     # Ray's sort shuffle cannot order a null key against a string across
     # sampled blocks: the reference runs on one block
     want = rd.from_arrow(t).groupby(key).aggregate(*RAY_AGGS)
-    with mock.patch.object(
-        bucket_tasks,
-        "TASK_EXCHANGE_MAX_PARTITIONS",
-        0 if fallback else bucket_tasks.TASK_EXCHANGE_MAX_PARTITIONS,
-    ):
-        got = exchange_aggregate(_blocks(t, blocks), key, AGGS)
+    got = exchange_aggregate(_blocks(t, blocks), key, AGGS)
     assert _rows(got) == _rows(want)
     if t.num_rows:
         ours, ray_fields = _fields(got.schema()), _fields(want.schema())

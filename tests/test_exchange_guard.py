@@ -1,8 +1,11 @@
 """Source guards over the package's AST.
 
 * Every group exchange in the engine goes through
-  ``bucket_tasks.exchange_map_groups``: the only ``.map_groups`` left in
-  the package is that function's sort-shuffle fallback.
+  ``bucket_tasks.exchange_map_groups``, the two-wave raw exchange, at
+  every width: no ``.map_groups`` is left in the package, and neither
+  is the old width gate (``fits_task_exchange``,
+  ``TASK_EXCHANGE_MAX_PARTITIONS``) that sent wide exchanges to Ray's
+  sort shuffle.
 * The per-document kernel and its Ray Data stages submit no nested
   tasks: no ``ray.remote`` (nor any ``.remote`` submission) appears
   under ``kernel/`` or ``stages/``, so a page always parses inside the
@@ -10,9 +13,10 @@
 * Broadcast or bucketed is decided in ``joins.py``: ``dim_ref_adaptive``
   is called only there and in dedup's two label stamps, and no other
   module defines or calls a broadcast-enrich helper.
-* The dedup family aggregates through ``bucket_tasks.exchange_aggregate``:
-  no Ray Data ``.aggregate(`` or ``.unique(`` (each a sort shuffle) is
-  left in its modules or in the ``dedup_exact`` query.
+* The dedup family and the graph ops aggregate through
+  ``bucket_tasks.exchange_aggregate``: no Ray Data ``.aggregate(`` or
+  ``.unique(`` (each a sort shuffle) is left in their modules or in the
+  ``dedup_exact`` query.
 * Object refs become a Dataset through ``bucket_tasks.dataset_from_refs``
   (one metadata task per producing task): no ``rd.from_arrow_refs`` (one
   per ref) is left.
@@ -44,21 +48,19 @@ def _attribute_sites(attr: str, *subdirs: str, skip=()) -> list:
     return sites
 
 
-def test_map_groups_only_in_the_exchange_fallback():
-    sites = _attribute_sites("map_groups")
-    exchange = next(
-        node
-        for node in ast.parse((PACKAGE / "functions" / "bucket_tasks.py").read_text()).body
-        if isinstance(node, ast.FunctionDef) and node.name == "exchange_map_groups"
-    )
-    fallback = next(
-        node
-        for node in ast.walk(exchange)
-        if isinstance(node, ast.If) and "fits_task_exchange" in ast.unparse(node.test)
-    )
-    lines = range(fallback.lineno, fallback.end_lineno + 1)
-    assert sites
-    assert [s for s in sites if s[0] != "functions/bucket_tasks.py" or s[1] not in lines] == []
+#: names of the deleted width gate
+WIDTH_GATE = ("fits_task_exchange", "TASK_EXCHANGE_MAX_PARTITIONS")
+
+
+def test_no_map_groups_in_the_package():
+    assert _attribute_sites("map_groups") == []
+    gate = [
+        (path.relative_to(PACKAGE).as_posix(), name)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for name in WIDTH_GATE
+        if name in path.read_text()
+    ]
+    assert gate == []
 
 
 def test_no_nested_ray_tasks_in_kernel_or_stages():
@@ -104,20 +106,21 @@ def test_broadcast_decision_only_in_joins():
     assert helpers == []
 
 
-#: the dedup family's modules, and the array libraries whose
-#: ``np.unique`` / ``pd.unique`` are not Ray Data calls
-DEDUP_MODULES = (
+#: the dedup family's modules and graph.py, and the array libraries
+#: whose ``np.unique`` / ``pd.unique`` are not Ray Data calls
+AGGREGATE_MODULES = (
     "functions/dedup.py",
     "functions/linedup.py",
     "functions/ngramdup.py",
     "pipelines/corpus.py",
+    "functions/graph.py",
 )
 ARRAY_MODULES = ("np", "pd")
 
 
 def test_dedup_family_aggregates_in_the_exchange():
     for attr in ("aggregate", "unique"):
-        assert _attribute_sites(attr, *DEDUP_MODULES, skip=ARRAY_MODULES) == []
+        assert _attribute_sites(attr, *AGGREGATE_MODULES, skip=ARRAY_MODULES) == []
     entry = ast.parse((PACKAGE.parent / "__ray_entry__.py").read_text())
     query = next(
         node

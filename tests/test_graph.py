@@ -334,28 +334,16 @@ def test_triangle_support_star_graph_degree_oriented():
     assert (int(out["a"].iloc[0]), int(out["b"].iloc[0])) == (0, 2)
 
 
-def force_wide_exchange(monkeypatch):
-    """Make every exchange width fail the raw-task gate, so PageRank
-    runs its Dataset loop (the only path past the gate)."""
-    from ocr_lib_ray.functions import bucket_tasks
-
-    monkeypatch.setattr(bucket_tasks, "TASK_EXCHANGE_MAX_PARTITIONS", 0)
-
-
 @pytest.mark.usefixtures("ray_session")
-def test_pagerank_state_block_count_stays_clamped(monkeypatch):
-    """The iterated rank state must stay repartition-clamped: the sort
-    shuffle's OUTPUT block count tracks its INPUT block count (not the
-    number of non-empty groups), so an unclamped fused loop compounds
-    empty blocks geometrically per iteration (measured 24.5 s -> 107.7 s
-    per iteration at sf0.01).  Five iterations of the Dataset loop at
-    num_partitions=4 must return a result whose block count is still
-    <= num_partitions — and still be bit-exact."""
+def test_pagerank_state_block_count_stays_clamped():
+    """Five iterations at num_partitions=4 return at most
+    num_partitions blocks (an iterated exchange whose output block
+    count tracked its input block count would compound empty blocks
+    per iteration) and stay bit-exact."""
     from ocr_lib_ray.functions.graph import pagerank_micro
 
     rng = np.random.RandomState(7)
     edges = sorted({(int(a), int(b)) for a, b in rng.randint(0, 50, (300, 2)) if a != b})
-    force_wide_exchange(monkeypatch)
     res = pagerank_micro(edge_ds(edges), iters=5, num_partitions=4).materialize()
     assert res.num_blocks() <= 4
     out = {r["node"]: r["rank_micro"] for r in res.take_all()}
@@ -363,13 +351,12 @@ def test_pagerank_state_block_count_stays_clamped(monkeypatch):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_pagerank_tasks_loop_bit_equal_to_dataset_loop(monkeypatch):
-    """The raw-task iteration loop (the default at bounded partition
-    counts) must be bit-equal to the Dataset sort-shuffle loop — across
-    partition counts (incl. the degenerate P=1 exchange), at iters=0
-    (seed state only), and with hub salting active (hot spread differs
-    between the paths, but integer sums commute, so the final ranks
-    cannot)."""
+def test_pagerank_bit_equal_to_reference_across_widths():
+    """The raw-task loop is bit-equal to the pure-Python reference
+    across partition counts (the degenerate P=1 exchange up to a width
+    past 256), at iters=0 (seed state only), and with hub salting
+    active (integer sums commute, so hot-spread placement cannot change
+    the result)."""
     from ocr_lib_ray.functions.graph import pagerank_micro
 
     rng = np.random.RandomState(11)
@@ -377,23 +364,15 @@ def test_pagerank_tasks_loop_bit_equal_to_dataset_loop(monkeypatch):
         {(int(a), int(b)) for a, b in rng.randint(0, 200, (1500, 2)) if a != b}
     )
 
-    # hub case: node 7 fans out to 400 destinations — salted on both paths
+    # hub case: node 7 fans out to 400 destinations — salted
     hub = [(7, d) for d in range(400)] + [(d, 7) for d in range(40)]
-    runs = [(edges, dict(iters=3, num_partitions=P)) for P in (1, 4, 8)] + [
-        (edges, dict(iters=0, num_partitions=4)),
-        (hub, dict(iters=3, num_partitions=4, hot_degree_min=10)),
+    runs = [(edges, 3, dict(num_partitions=P)) for P in (1, 4, 8, 300)] + [
+        (edges, 0, dict(num_partitions=4)),
+        (hub, 3, dict(num_partitions=4, hot_degree_min=10)),
     ]
-
-    def ranks():
-        return [
-            {
-                r["node"]: r["rank_micro"]
-                for r in pagerank_micro(edge_ds(e), **kw).take_all()
-            }
-            for e, kw in runs
-        ]
-
-    tasks = ranks()
-    force_wide_exchange(monkeypatch)
-    assert tasks == ranks()
-    assert tasks[-1] == ref_pagerank(hub, 3)
+    for e, iters, kw in runs:
+        got = {
+            r["node"]: r["rank_micro"]
+            for r in pagerank_micro(edge_ds(e), iters=iters, **kw).take_all()
+        }
+        assert got == ref_pagerank(e, iters), (iters, kw)

@@ -573,14 +573,13 @@ def test_hash_join_composite_key_all_modes():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_exchange_map_groups_contract_and_fallback(monkeypatch):
+def test_exchange_map_groups_contract_and_wide_width():
     """The group fn runs once per NON-EMPTY bucket and only those reach
     the output; with a column key it runs once per distinct key, whole;
-    an all-empty exchange is ONE typed empty block; past the width gate
-    the sort-shuffle fallback yields the same rows."""
+    an all-empty exchange is ONE typed empty block; a width past 256
+    (300) yields the same rows as width 16."""
     import pyarrow as pa
 
-    from ocr_lib_ray.functions import bucket_tasks
     from ocr_lib_ray.functions.bucket_tasks import exchange_map_groups
 
     keys = [0, 5, 9] * 10
@@ -634,14 +633,8 @@ def test_exchange_map_groups_contract_and_fallback(monkeypatch):
             "v": pa.array(range(n), pa.int64()),
         }
     )
-    # one input block where a key holds nulls: Ray's sort shuffle (the
-    # fallback) cannot order None against str across sampled blocks
-    cases = [
-        ("i", rd.from_arrow(tbl).repartition(4).materialize(), "pyarrow"),
-        ("s", rd.from_arrow(tbl), "pyarrow"),
-        (["i", "s"], rd.from_arrow(tbl), "pandas"),
-    ]
-    for key, kds, fmt in cases:
+    kds = rd.from_arrow(tbl).repartition(4).materialize()
+    for key, fmt in [("i", "pyarrow"), ("s", "pyarrow"), (["i", "s"], "pandas")]:
         cols = [key] if isinstance(key, str) else key
         src = kds.take_all()
         sizes = Counter(tuple(r[c] for c in cols) for r in src)
@@ -666,13 +659,13 @@ def test_exchange_map_groups_contract_and_fallback(monkeypatch):
         assert len(raw) == len(sizes)
         # the default width: at most one bucket per input block
         assert key_rows(exchange_map_groups(kds, key, per_key, batch_format=fmt)) == raw
-        monkeypatch.setattr(bucket_tasks, "TASK_EXCHANGE_MAX_PARTITIONS", 8)
-        fallback = key_rows(exchange_map_groups(kds, key, per_key, 16, batch_format=fmt))
-        monkeypatch.undo()
-        assert raw == fallback, key
+        wide = key_rows(exchange_map_groups(kds, key, per_key, 300, batch_format=fmt))
+        assert wide == raw, key
 
-    monkeypatch.setattr(bucket_tasks, "TASK_EXCHANGE_MAX_PARTITIONS", 8)
-    assert rows(exchange_map_groups(ds, bucket_fn, group, 16)) == want
+    def wide_bucket_fn(t):
+        return t.column("k").to_numpy() % 300
+
+    assert rows(exchange_map_groups(ds, wide_bucket_fn, group, 300)) == want
 
 
 @pytest.mark.usefixtures("ray_session")
