@@ -273,12 +273,16 @@ def _q_extract_by_lang(sf_dir: str):
     )
 
 
-def _docs(sf_dir: str):
-    import ray.data as rd
+def _table(sf_dir: str, name: str, columns: list | None = None):
+    """``{sf_dir}/{name}.parquet`` through the engine's one read
+    (:func:`ocr_lib_ray.sources.tables.read_table`)."""
+    from ocr_lib_ray.sources.tables import read_table
 
-    return rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    return read_table(f"{sf_dir}/{name}.parquet", columns)
+
+
+def _docs(sf_dir: str):
+    return _table(sf_dir, "documents", ["doc_id", "text"])
 
 
 def _q_doc_stats(sf_dir: str):
@@ -340,11 +344,7 @@ def _q_token_quantiles_by_lang(sf_dir: str):
             [b.column("lang"), n], names=["lang", "n_tokens"]
         )
 
-    import ray.data as rd
-
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["text", "lang"]
-    )
+    docs = _table(sf_dir, "documents", ["text", "lang"])
     ds = docs.map_batches(counts, batch_format="pyarrow")
     return group_quantiles(ds, "lang", "n_tokens", qs=(0.25, 0.5, 0.75, 0.9, 0.99))
 
@@ -355,7 +355,6 @@ def _q_doc_embedding_join(sf_dir: str):
     with their embedding's dimensionality on doc_id = vec_id."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from ocr_lib_ray.functions.joins import hash_join
     from ocr_lib_ray.functions.text_stats import normalize_expr, token_count
@@ -373,9 +372,9 @@ def _q_doc_embedding_join(sf_dir: str):
         )
 
     left = _docs(sf_dir).map_batches(left_side, batch_format="pyarrow")
-    right = rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    ).map_batches(right_side, batch_format="pyarrow")
+    right = _table(sf_dir, "embeddings", ["vec_id", "embedding"]).map_batches(
+        right_side, batch_format="pyarrow"
+    )
     return hash_join(left, right, "doc_id", ["dim"], how="inner")
 
 
@@ -386,7 +385,6 @@ def _q_doc_outer_join(sf_dir: str):
     asof_join ADVICE fix closed, applied symmetrically)."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from ocr_lib_ray.functions.joins import hash_join
     from ocr_lib_ray.functions.text_stats import normalize_expr, token_count
@@ -407,28 +405,25 @@ def _q_doc_outer_join(sf_dir: str):
         )
 
     left = _docs(sf_dir).map_batches(left_side, batch_format="pyarrow")
-    right = rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    ).map_batches(right_side, batch_format="pyarrow")
+    right = _table(sf_dir, "embeddings", ["vec_id", "embedding"]).map_batches(
+        right_side, batch_format="pyarrow"
+    )
     return hash_join(left, right, "doc_id", ["dim"], how="full_outer")
 
 
 def _semi_anti_sides(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data as rd
 
-    left = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "source"]
-    )
+    left = _table(sf_dir, "documents", ["doc_id", "source"])
 
     def keys(b: "pa.Table") -> "pa.Table":
         kept = b.filter(pc.less(b.column("label"), 3))
         return pa.Table.from_arrays([kept.column("vec_id")], names=["doc_id"])
 
-    right = rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "label"]
-    ).map_batches(keys, batch_format="pyarrow")
+    right = _table(sf_dir, "embeddings", ["vec_id", "label"]).map_batches(
+        keys, batch_format="pyarrow"
+    )
     return left, right
 
 
@@ -456,13 +451,10 @@ def _q_cap_per_source(sf_dir: str):
     """Per-domain document cap (≤3 docs per source, deterministic
     hash-uniform within the group) — topk_per_group's prune+finish path
     under an md5 order column, never a global sort."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.sampling import cap_per_group
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "source"]
-    )
+    docs = _table(sf_dir, "documents", ["doc_id", "source"])
     return cap_per_group(docs, "source", "doc_id", k=3)
 
 
@@ -524,13 +516,10 @@ def _q_ccnet_buckets(sf_dir: str):
     2020): corpus-trained bigram LM → per-pair int64 NLL → distributed
     per-lang tercile histogram → broadcast thresholds → head/middle/
     tail labels.  All-integer statistic, hash-exact vs DuckDB."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.lm import ccnet_buckets
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
-    )
+    docs = _table(sf_dir, "documents", ["doc_id", "text", "lang"])
     return ccnet_buckets(docs)
 
 
@@ -541,13 +530,10 @@ def _q_dsir_weights(sf_dir: str):
     scoring pass.  weight_micro is an exact int64 sum of per-bucket
     micro log-ratios, so the oracle compare is bit-exact."""
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from ocr_lib_ray.functions.importance import dsir_weights
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
-    )
+    docs = _table(sf_dir, "documents", ["doc_id", "text", "lang"])
     return dsir_weights(
         docs, lambda b: pc.equal(b.column("lang"), "en")
     ).select_columns(["doc_id", "n_features", "weight_micro"])
@@ -573,14 +559,11 @@ def _q_outlier_mad(sf_dir: str):
     (lang, n_tokens)-space histogram shuffle, medians derived on the
     driver, flag pass map-only — all integers, bit-exact oracle."""
     import pyarrow as pa
-    import ray.data as rd
 
     from ocr_lib_ray.functions.quantiles import mad_outliers
     from ocr_lib_ray.functions.text_stats import normalize_expr, token_count
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
-    )
+    docs = _table(sf_dir, "documents", ["doc_id", "text", "lang"])
 
     def with_tokens(b: pa.Table) -> pa.Table:
         n = token_count(normalize_expr(b.column("text"))).cast(pa.int64())
@@ -602,13 +585,10 @@ def _q_nb_classify(sf_dir: str):
     """Corpus-trained multinomial Naive Bayes language router: ONE
     vocabulary×classes groupby to train, broadcast model, map-only
     scoring; argmax tie-break (score DESC, class ASC) — bit-exact."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.classify import nb_classify
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
-    )
+    docs = _table(sf_dir, "documents", ["doc_id", "text", "lang"])
     return nb_classify(docs, label_col="lang")
 
 
@@ -663,13 +643,10 @@ def _q_topk_with_ties(sf_dir: str):
     """RANK-semantics per-source leaderboard: every document tied with
     the 5th-longest is kept (ties never cut — the set needs no id
     tie-break to be deterministic)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.ranking import topk_with_ties
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "n_chars"]
-    )
+    docs = _table(sf_dir, "documents", ["doc_id", "source", "n_chars"])
     return topk_with_ties(
         docs, group_col="source", order_col="n_chars", k=5, id_col="doc_id"
     )
@@ -678,28 +655,20 @@ def _q_topk_with_ties(sf_dir: str):
 def _q_table_checksum(sf_dir: str):
     """Anti-entropy checksum of the documents table (replication /
     migration validation): map-only modular row-hash sums, no shuffle."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.versions import table_checksum
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet",
-        columns=["doc_id", "text", "lang", "source", "n_chars"],
-    )
+    docs = _table(sf_dir, "documents", ["doc_id", "text", "lang", "source", "n_chars"])
     return table_checksum(docs, ["doc_id", "text", "lang", "source", "n_chars"])
 
 
 def _q_group_checksum(sf_dir: str):
     """Per-source anti-entropy checksums (the drill-down of
     table_checksum — localize WHICH partition diverged)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.versions import group_checksum
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet",
-        columns=["doc_id", "text", "lang", "source", "n_chars"],
-    )
+    docs = _table(sf_dir, "documents", ["doc_id", "text", "lang", "source", "n_chars"])
     return group_checksum(
         docs, "source", ["doc_id", "text", "lang", "source", "n_chars"]
     )
@@ -716,13 +685,10 @@ def _q_length_histogram(sf_dir: str):
 def _q_lang_confusion(sf_dir: str):
     """Declared-vs-predicted language confusion matrix (model
     monitoring): map-only LangId + per-block |langs|² partials."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.text_stats import lang_confusion
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
-    )
+    docs = _table(sf_dir, "documents", ["doc_id", "text", "lang"])
     return lang_confusion(docs)
 
 
@@ -744,11 +710,10 @@ def _q_repetition_stats(sf_dir: str):
 
 def _q_lang_id(sf_dir: str):
     """Stateless tasks — see _q_quality_score for the rationale."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.text_stats import lang_id_batch
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
+    docs = _table(sf_dir, "documents", ["doc_id", "text", "lang"])
     return docs.map_batches(lang_id_batch, batch_format="pyarrow")
 
 
@@ -809,13 +774,10 @@ def _q_dedup_fuzzy_keep_best(sf_dir: str):
     n_chars, min-id tie) — minhash pairs → distributed CC → broadcast
     label stamp + driver winner reduce (bucketed left join →
     keep_latest once the labels outgrow the broadcast bound)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.dedup import dedup_fuzzy_keep_best
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "n_chars"]
-    )
+    docs = _table(sf_dir, "documents", ["doc_id", "text", "n_chars"])
     return dedup_fuzzy_keep_best(docs, threshold=0.5)
 
 
@@ -840,13 +802,10 @@ def _q_crawl_diff(sf_dir: str):
     full-outer join, text never shuffled."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from ocr_lib_ray.functions.versions import crawl_diff
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _table(sf_dir, "documents", ["doc_id", "text"])
 
     def mutate(b: pa.Table) -> pa.Table:
         import numpy as np
@@ -945,21 +904,16 @@ def _q_simhash_pairs(sf_dir: str):
 
 
 def _emb(sf_dir: str):
-    import ray.data as rd
-
-    return rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    return _table(sf_dir, "embeddings", ["vec_id", "embedding"])
 
 
 def _q_quantize_embeddings(sf_dir: str):
     """SQ8 embedding quantization: d-row min/max shuffle + broadcast
     + map-only codes; flattened int rows for the exact compare."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.clustering import quantize_embeddings
 
-    emb = rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    emb = _table(sf_dir, "embeddings", ["vec_id", "embedding"])
     return quantize_embeddings(emb)
 
 
@@ -1035,17 +989,11 @@ def _q_graph_rank(sf_dir: str):
     per-bucket refs (edges joined to ranks with per-destination partial
     sums, then the final Sum joined back onto the node rows); only the
     per-bucket dangling-mass scalars reach the driver."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.graph import pagerank_micro, purchase_graph_edges
 
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"]
-    )
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_suppkey", "l_returnflag"],
-    )
+    orders = _table(sf_dir, "orders", ["o_orderkey", "o_custkey"])
+    li = _table(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_returnflag"])
     edges = purchase_graph_edges(orders, li, num_partitions=8)
     return pagerank_micro(edges, iters=3, num_partitions=8)
 
@@ -1158,13 +1106,10 @@ def _q_graph_triangles(sf_dir: str):
     sharing an order) — DEGREE-ORDERED wedge generation inside hash
     buckets (O(E^1.5) wedge bound, hub-safe), closed against the edge
     set with a tagged union + one Sum aggregate."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.graph import cosupplier_edges, triangle_support
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_suppkey"]
-    )
+    li = _table(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"])
     return triangle_support(cosupplier_edges(li, num_partitions=8))
 
 
@@ -1198,12 +1143,8 @@ def _q_cosine_dups(sf_dir: str):
 def _events_us(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data as rd
 
-    ev = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type", "value"],
-    )
+    ev = _table(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"])
 
     def to_us(b: pa.Table) -> pa.Table:
         return b.append_column(
@@ -1301,27 +1242,20 @@ _BUDGETS = {"src0": 700.0, "src1": 100.0, "src2": 0.0}
 
 def _q_budget_sample(sf_dir: str):
     """Token-budget mixture sampling (downsample sources to a recipe)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.sampling import budget_sample
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"]
-    )
+    docs = _table(sf_dir, "documents", ["doc_id", "text", "source"])
     return budget_sample(docs, _BUDGETS)
 
 
 def _q_curate(sf_dir: str):
     """Composed curation: blocklist → keep-best dedup → token-budget
     mixture → shard shuffle, oracled end-to-end."""
-    import ray.data as rd
 
     from ocr_lib_ray.pipelines.curate import curate_corpus
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet",
-        columns=["doc_id", "text", "source", "n_chars"],
-    )
+    docs = _table(sf_dir, "documents", ["doc_id", "text", "source", "n_chars"])
     return curate_corpus(docs, _BLOCKLIST_TERMS, _BUDGETS, num_shards=4)
 
 
@@ -1330,14 +1264,10 @@ def _q_curate_quality(sf_dir: str):
     (language-neutral subset — r_stops is English-only and would empty
     this multilingual fixture): blocklist → gopher gate → keep-best
     dedup → token budget → shard shuffle, oracled end-to-end."""
-    import ray.data as rd
 
     from ocr_lib_ray.pipelines.curate import GOPHER_STRUCTURAL, curate_corpus
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet",
-        columns=["doc_id", "text", "source", "n_chars"],
-    )
+    docs = _table(sf_dir, "documents", ["doc_id", "text", "source", "n_chars"])
     return curate_corpus(
         docs,
         _BLOCKLIST_TERMS,
@@ -1353,13 +1283,10 @@ def _q_temperature_mix(sf_dir: str):
     rate = (t_min/t)^(1-alpha) via one libm ln/exp chain + the shared
     md5-vs-printf-hex keep rule; two cheap passes (|sources|-row token
     aggregate, then a map-only filter)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.sampling import temperature_mix
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"]
-    )
+    docs = _table(sf_dir, "documents", ["doc_id", "text", "source"])
     return temperature_mix(docs, alpha=0.3)
 
 
@@ -1368,14 +1295,10 @@ def _q_curate_ppl(sf_dir: str):
     (Wenzek et al. 2020): blocklist → per-language perplexity terciles
     (LM trained on the survivors) keeping head+middle → keep-best
     dedup → token budget → shard shuffle, oracled end-to-end."""
-    import ray.data as rd
 
     from ocr_lib_ray.pipelines.curate import curate_corpus
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet",
-        columns=["doc_id", "text", "source", "n_chars", "lang"],
-    )
+    docs = _table(sf_dir, "documents", ["doc_id", "text", "source", "n_chars", "lang"])
     return curate_corpus(
         docs,
         _BLOCKLIST_TERMS,
@@ -1389,203 +1312,159 @@ def _q_weighted_sample_k(sf_dir: str):
     """Exact-k weighted sample (A-ES keys from md5 uniforms): longer
     docs proportionally likelier, output exactly 20 rows — map-only
     stamping + per-block top-k prune."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.sampling import weighted_sample_k
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
-    )
+    docs = _table(sf_dir, "documents", ["doc_id", "n_chars"])
     return weighted_sample_k(docs, weight_col="n_chars", k=20)
 
 
 def _q_dedup_keep_best(sf_dir: str):
     """Quality-winner dedup (longest variant wins, not min id)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.curation import dedup_keep_best
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "n_chars"]
-    )
+    docs = _table(sf_dir, "documents", ["doc_id", "text", "n_chars"])
     return dedup_keep_best(docs)
 
 
 def _q_filter_blocklist(sf_dir: str):
     """C4-style bad-terms filter (word-boundary RE2, phrase-capable)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.curation import filter_blocklist
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source", "lang"]
-    )
+    docs = _table(sf_dir, "documents", ["doc_id", "text", "source", "lang"])
     return filter_blocklist(docs, _BLOCKLIST_TERMS)
 
 
 def _q_shuffle_shards(sf_dir: str):
     """Deterministic md5 shard shuffle for training output."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.curation import shuffle_shards
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    docs = _table(sf_dir, "documents", ["doc_id"])
     return shuffle_shards(docs, num_shards=8)
 
 
 def _q_rollup_stats(sf_dir: str):
     """One-pass GROUPING SETS rollup over (source, lang)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.curation import rollup_stats
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["source", "lang", "n_chars"]
-    )
+    docs = _table(sf_dir, "documents", ["source", "lang", "n_chars"])
     return rollup_stats(docs)
 
 
 def _q_fill_windows(sf_dir: str):
     """Gap-filled tumbling series (empty windows emit zero rows)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.windows import fill_windows
 
-    events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "value"])
+    events = _table(sf_dir, "events", ["ts", "value"])
     return fill_windows(events, window_seconds=3600)
 
 
 def _q_rolling_stats(sf_dir: str):
     """Per-user moving 5-event sum (SQL ROWS BETWEEN 4 PRECEDING)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.ordered import rolling_stats
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "value"]
-    )
+    events = _table(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
     return rolling_stats(events, k=5)
 
 
 def _q_lag_intervals(sf_dir: str):
     """Per-user inter-arrival gaps (SQL LAG over a per-key order)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.ordered import lag_intervals
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
-    )
+    events = _table(sf_dir, "events", ["event_id", "user_id", "ts"])
     return lag_intervals(events)
 
 
 def _q_funnel_stages(sf_dir: str):
     """Per-user sequential view->click->purchase funnel."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.ordered import funnel_stages
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type"]
-    )
+    events = _table(sf_dir, "events", ["user_id", "ts", "event_type"])
     return funnel_stages(events, stages=("view", "click", "purchase"))
 
 
 def _q_sessionize_assign(sf_dir: str):
     """Per-EVENT session labels (the row-level sibling of sessionize)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.ordered import sessionize_assign
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
-    )
+    events = _table(sf_dir, "events", ["event_id", "user_id", "ts"])
     return sessionize_assign(events, gap_seconds=1800)
 
 
 def _q_user_type_entropy(sf_dir: str):
     """Per-user event-type Shannon entropy in exact micro-nat·n units
     (behavioral-diversity feature, order-free)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.windows import user_type_entropy
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
-    )
+    events = _table(sf_dir, "events", ["user_id", "event_type"])
     return user_type_entropy(events)
 
 
 def _q_ab_metrics(sf_dir: str):
     """A/B experiment readout: stable md5 variant assignment + ordered
     view→purchase funnel conversion per arm, exact integer rates."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.experiments import ab_metrics
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type"]
-    )
+    events = _table(sf_dir, "events", ["user_id", "ts", "event_type"])
     return ab_metrics(events)
 
 
 def _q_transition_counts(sf_dir: str):
     """Markov event-type transition matrix over per-user ordered
     streams (LAG-pair counting — the next-event-model training shape)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.ordered import transition_counts
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "ts", "event_type"],
-    )
+    events = _table(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
     return transition_counts(events)
 
 
 def _q_cohort_retention(sf_dir: str):
     """Daily cohort retention matrix (first-seen window × active window)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.ordered import cohort_retention
 
-    events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
+    events = _table(sf_dir, "events", ["user_id", "ts"])
     return cohort_retention(events, window_seconds=86_400)
 
 
 def _q_window_topk(sf_dir: str):
     """Top-3 event types per hourly window (trending-items rollup)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.windows import window_topk
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"]
-    )
+    events = _table(sf_dir, "events", ["ts", "event_type"])
     return window_topk(events, window_seconds=3600, k=3)
 
 
 def _q_window_distinct_users(sf_dir: str):
     """Exact per-window distinct users (two-phase pair dedup — the
     exact sibling of the approx_distinct HLL)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.windows import window_distinct_users
 
-    events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "user_id"])
+    events = _table(sf_dir, "events", ["ts", "user_id"])
     return window_distinct_users(events, window_seconds=3600)
 
 
 def _q_props_stats(sf_dir: str):
     """JSON property extraction + per-type rollup: map-only parse with
     grouped partials, ONE groups-sized shuffle — event rows never move."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.props import props_stats
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "props"]
-    )
+    events = _table(sf_dir, "events", ["event_type", "props"])
     return props_stats(events)
 
 
@@ -1593,14 +1472,11 @@ def _q_window_outliers(sf_dir: str):
     """Burst detection on the event stream: tumbling per-type counts →
     MAD outlier flags per type — one window groupby + one (type, n)-
     space histogram shuffle, flag pass map-only, all integers."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.quantiles import mad_outliers
     from ocr_lib_ray.functions.windows import tumbling_window
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"]
-    )
+    events = _table(sf_dir, "events", ["event_type", "ts", "value"])
     tw = tumbling_window(events, window_seconds=3600).select_columns(
         ["event_type", "window_start_us", "n"]
     )
@@ -1610,13 +1486,9 @@ def _q_window_outliers(sf_dir: str):
 
 
 def _q_tumbling_window(sf_dir: str):
-    import ray.data as rd
-
     from ocr_lib_ray.functions.windows import tumbling_window
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"]
-    )
+    events = _table(sf_dir, "events", ["event_type", "ts", "value"])
     out = tumbling_window(events, window_seconds=3600)
 
     import pyarrow as pa
@@ -1646,13 +1518,10 @@ def _q_top_tokens(sf_dir: str):
 def _q_source_divergence(sf_dir: str):
     """Per-source unigram KL vs the corpus blend (mixture drift
     monitor) — micro-nat integer sums, both enrich joins bucketed."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.importance import source_divergence
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["text", "source"]
-    )
+    docs = _table(sf_dir, "documents", ["text", "source"])
     return source_divergence(docs)
 
 
@@ -1692,11 +1561,9 @@ def _q_vocab_encode(sf_dir: str):
 
 
 def _q_sessionize(sf_dir: str):
-    import ray.data as rd
-
     from ocr_lib_ray.functions.windows import sessionize
 
-    events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"])
+    events = _table(sf_dir, "events", ["user_id", "ts", "value"])
     out = sessionize(events, gap_seconds=1800)
 
     import pyarrow as pa
@@ -1715,11 +1582,10 @@ def _q_sessionize_stream(sf_dir: str):
     operator) — same semantics and SQL oracle as batch sessionize."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from ocr_lib_ray.functions.streaming import streaming_sessionize
 
-    events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"])
+    events = _table(sf_dir, "events", ["user_id", "ts", "value"])
     out = streaming_sessionize(events, gap_seconds=1800, num_buckets=8)
 
     def to_cents(batch: pa.Table) -> pa.Table:
@@ -1737,11 +1603,10 @@ def _q_sessionize_salted(sf_dir: str):
     near-integers in cents, never at a rounding tie)."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from ocr_lib_ray.functions.windows import sessionize_salted
 
-    events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"])
+    events = _table(sf_dir, "events", ["user_id", "ts", "value"])
     out = sessionize_salted(events, gap_seconds=1800)
 
     def to_cents(batch: pa.Table) -> pa.Table:
@@ -1774,11 +1639,9 @@ def _q_code_detect(sf_dir: str):
 
 
 def _q_sliding_window(sf_dir: str):
-    import ray.data as rd
-
     from ocr_lib_ray.functions.windows import sliding_window
 
-    events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"])
+    events = _table(sf_dir, "events", ["event_type", "ts", "value"])
     out = sliding_window(events, window_seconds=3600, slide_seconds=900)
 
     import pyarrow as pa
@@ -1811,11 +1674,10 @@ def _q_sample_split(sf_dir: str):
 
 def _q_stratified_sample(sf_dir: str):
     """Per-source deterministic mixture downsampling (map-only)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.sampling import stratified_sample
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "source"])
+    docs = _table(sf_dir, "documents", ["doc_id", "source"])
     return stratified_sample(
         docs, "doc_id", "source", {"src0": 0.25, "src1": 0.0}, default_rate=0.6
     )
@@ -1823,23 +1685,19 @@ def _q_stratified_sample(sf_dir: str):
 
 def _q_sample_fixed_k(sf_dir: str):
     """Exactly-k hash-bottom-k uniform sample (per-block prune + tiny sort)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.sampling import sample_fixed_k
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    docs = _table(sf_dir, "documents", ["doc_id"])
     return sample_fixed_k(docs, "doc_id", k=100)
 
 
 def _q_topk_per_group(sf_dir: str):
     """Top-5 largest docs per source — per-block prune, no global sort."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.ranking import topk_per_group
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "n_chars"]
-    )
+    docs = _table(sf_dir, "documents", ["doc_id", "source", "n_chars"])
     return topk_per_group(docs, "source", "n_chars", k=5, id_col="doc_id")
 
 
@@ -1998,7 +1856,6 @@ def _q_training_data_curated(sf_dir: str):
     mixture+decontam on).  No checkpoint: the gate corpus is small and
     the re-executed lineage is itself deterministic."""
     import numpy as np
-    import ray.data as rd
 
     from ocr_lib_ray.pipelines.corpus import build_training_data
 
@@ -2007,9 +1864,9 @@ def _q_training_data_curated(sf_dir: str):
 
         return b.filter(pa.array(np.asarray(b.column("doc_id")) % 20 == 0))
 
-    eval_ds = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).map_batches(_eval_slice, batch_format="pyarrow")
+    eval_ds = _table(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+        _eval_slice, batch_format="pyarrow"
+    )
     return build_training_data(
         _pages(sf_dir),
         mixture_rates={"src0": 0.5, "src1": 0.0, "srcA": 0.5},
@@ -2060,13 +1917,10 @@ def _q_corpus_report(sf_dir: str):
     partials (Arrow group_by in C) → one distinct-groups-sized Sum
     shuffle; avg derived from the sums after the aggregate, never
     averaged across partials."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.text_stats import corpus_report
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["text", "source", "lang"]
-    )
+    docs = _table(sf_dir, "documents", ["text", "source", "lang"])
     return corpus_report(docs)
 
 
@@ -2076,11 +1930,10 @@ def _q_value_quantiles(sf_dir: str):
     the exact histogram path on grid ids; error bounded by the step and
     the whole computation SQL-reproducible (same IEEE divide/floor/
     multiply on both sides)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.quantiles import quantized_quantiles
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
+    ev = _table(sf_dir, "events", ["value"])
     return quantized_quantiles(
         ev, "value", qs=(0.25, 0.5, 0.75, 0.9, 0.99), step=0.01
     )
@@ -2091,24 +1944,20 @@ def _q_percent_rank(sf_dir: str):
     sort a window function implies: distinct-values histogram shuffle →
     driver CDF (max_distinct-guarded) → ray.put broadcast → map-only
     searchsorted stamp (functions.quantiles.ecdf_percent_rank)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.quantiles import ecdf_percent_rank
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"])
+    ds = _table(sf_dir, "documents", ["doc_id", "n_chars"])
     return ecdf_percent_rank(ds, "n_chars")
 
 
 def _q_percent_rank_by_lang(sf_dir: str):
     """Per-language ECDF normalization (PARTITION BY lang) — same
     histogram/broadcast discipline, per-group CDFs in one broadcast."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.quantiles import ecdf_percent_rank
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "n_chars"]
-    )
+    ds = _table(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
     return ecdf_percent_rank(ds, "n_chars", group_col="lang")
 
 
@@ -2117,11 +1966,10 @@ def _q_latest_event(sf_dir: str):
     shape): per-block prune to one row per key, then one groupby — the
     shuffle carries <= one row per key per block, never the corpus
     (functions.versions.keep_latest)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.versions import keep_latest
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet")
+    ev = _table(sf_dir, "events")
     return keep_latest(ev, key_col="user_id", ts_col="ts", tie_col="event_id")
 
 
@@ -2165,11 +2013,9 @@ def _q_dedup_jaccard(sf_dir: str):
 
 
 def _q_heavy_hitters(sf_dir: str):
-    import ray.data as rd
-
     from ocr_lib_ray.functions.windows import heavy_hitters
 
-    events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "value"])
+    events = _table(sf_dir, "events", ["user_id", "value"])
     return heavy_hitters(events, k=10)
 
 
@@ -2179,11 +2025,10 @@ def _q_approx_distinct(sf_dir: str):
     estimator in SQL — the APPROXIMATION is deterministic and both
     sides compute the identical estimate (accuracy still pinned in
     tests)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.sketches import approx_distinct_users_per_type
 
-    events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "user_id"])
+    events = _table(sf_dir, "events", ["event_type", "user_id"])
     return approx_distinct_users_per_type(events)
 
 
@@ -2427,13 +2272,13 @@ def _q_pricing_summary(sf_dir: str):
     """TPC-H Q1 shape: grouped exact-integer pricing sums over lineitem
     (one corpus pass, per-block combiner, ≤|flag×status| shuffle rows).
     Money in integer units — see functions/relational.py module doc."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.relational import pricing_summary
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=[
+    li = _table(
+        sf_dir,
+        "lineitem",
+        [
             "l_returnflag",
             "l_linestatus",
             "l_quantity",
@@ -2453,20 +2298,12 @@ def _q_star_revenue(sf_dir: str):
     customer broadcasts adaptively (bucketed hash join past
     DIM_BROADCAST_MAX)."""
     import pyarrow.parquet as pq
-    import ray.data as rd
 
     from ocr_lib_ray.functions.relational import star_revenue
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount"],
-    )
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_orderdate"]
-    )
-    cust = rd.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-    )
+    li = _table(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
+    orders = _table(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
+    cust = _table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     nation = pq.read_table(f"{sf_dir}/nation.parquet")
     region = pq.read_table(f"{sf_dir}/region.parquet")
     return star_revenue(
@@ -2485,20 +2322,16 @@ def _q_top_customers(sf_dir: str):
     """TPC-H Q10 shape: top-10 customers by returned ('R') revenue in a
     one-year window; global top-k = per-block prune → single-partition
     final prune, ties (revenue DESC, custkey ASC)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.relational import top_customers
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"],
+    li = _table(
+        sf_dir,
+        "lineitem",
+        ["l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"],
     )
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_orderdate"]
-    )
-    cust = rd.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
-    )
+    orders = _table(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
+    cust = _table(sf_dir, "customer", ["c_custkey", "c_name"])
     return top_customers(
         li, orders, cust, lo_us=_ts_us("1996-07-01"), hi_us=_ts_us("1997-07-01"), k=10
     )
@@ -2508,16 +2341,12 @@ def _q_order_priority(sf_dir: str):
     """TPC-H Q4 shape: per-priority count of orders with a lineitem
     shipped after the order date (EXISTS-with-predicate rewritten as a
     max-per-orderkey partial + inner join + filter)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.relational import late_order_priority
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_shipdate"]
-    )
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"],
+    li = _table(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
+    orders = _table(
+        sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"]
     )
     return late_order_priority(
         li, orders, lo_us=_ts_us("1996-01-01"), hi_us=_ts_us("1997-01-01")
@@ -2529,20 +2358,16 @@ def _q_ship_priority(sf_dir: str):
     for BUILDING-segment customers; segment gate is a SEMI join
     (deduped custkeys only through the shuffle), lineitem pre-aggregated
     per block, top-k via per-block prune → final prune."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.relational import ship_priority
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
+    li = _table(
+        sf_dir,
+        "lineitem",
+        ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
     )
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_orderdate"]
-    )
-    cust = rd.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
-    )
+    orders = _table(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
+    cust = _table(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     return ship_priority(
         li, orders, cust, segment="BUILDING", cutoff_us=_ts_us("1997-06-01"), k=10
     )
@@ -2552,13 +2377,13 @@ def _q_revenue_delta(sf_dir: str):
     """TPC-H Q6 shape: scalar sum(extendedprice×discount) over a
     shipdate-year × discount-band × quantity predicate; one corpus
     pass, per-block (rev, n) partials, exact u4 integer units."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.relational import revenue_delta
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_extendedprice", "l_discount", "l_quantity", "l_shipdate"],
+    li = _table(
+        sf_dir,
+        "lineitem",
+        ["l_extendedprice", "l_discount", "l_quantity", "l_shipdate"],
     )
     return revenue_delta(
         li,
@@ -2574,20 +2399,14 @@ def _q_large_orders(sf_dir: str):
     """TPC-H Q18 shape: orders with total quantity > 250 (top ~1%),
     enriched with order metadata and customer name; the HAVING filter
     shrinks the left side BEFORE both hash joins."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.relational import large_orders
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_quantity"]
+    li = _table(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
+    orders = _table(
+        sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]
     )
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
-    )
-    cust = rd.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
-    )
+    cust = _table(sf_dir, "customer", ["c_custkey", "c_name"])
     return large_orders(li, orders, cust, min_qty=250)
 
 
@@ -2595,13 +2414,10 @@ def _q_sample_k_per_group(sf_dir: str):
     """Exactly 5 docs per language, hash-bottom-k (balanced eval-slice
     draw): map-only md5 stamping + per-block per-group prune, never a
     global sort."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.sampling import sample_k_per_group
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"]
-    )
+    docs = _table(sf_dir, "documents", ["doc_id", "lang"])
     return sample_k_per_group(docs, group_col="lang", k=5)
 
 
@@ -2612,15 +2428,11 @@ def _q_group_enrich(sf_dir: str):
     BOTH key columns (group stats scale with |langs|×|sources|, which
     scales with the corpus — no broadcast assumption)."""
     import pyarrow as pa
-    import ray.data as rd
     from ray.data.aggregate import Sum
 
     from ocr_lib_ray.functions.joins import hash_join
 
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet",
-        columns=["doc_id", "lang", "source", "n_chars"],
-    )
+    docs = _table(sf_dir, "documents", ["doc_id", "lang", "source", "n_chars"])
 
     def partials(b: "pa.Table") -> "pa.Table":
         t = b.select(["lang", "source", "n_chars"])
@@ -2658,15 +2470,13 @@ def _q_promo_revenue(sf_dir: str):
     """TPC-H Q14 shape: promo revenue share for one ship-year;
     lineitem window-filtered + pre-aggregated per partkey before the
     bucketed join to the (partkey, is_promo) reduced part table."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.relational import promo_revenue
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
+    li = _table(
+        sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"]
     )
-    part = rd.read_parquet(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"])
+    part = _table(sf_dir, "part", ["p_partkey", "p_type"])
     return promo_revenue(
         li, part, lo_us=_ts_us("1997-01-01"), hi_us=_ts_us("1998-01-01")
     )
@@ -2678,13 +2488,13 @@ def _q_market_share(sf_dir: str):
     carrying one is_target bit, customer region-gated by a broadcast
     nation⋈region lookup."""
     import pyarrow.parquet as pq
-    import ray.data as rd
 
     from ocr_lib_ray.functions.relational import market_share
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=[
+    li = _table(
+        sf_dir,
+        "lineitem",
+        [
             "l_orderkey",
             "l_partkey",
             "l_suppkey",
@@ -2692,17 +2502,10 @@ def _q_market_share(sf_dir: str):
             "l_discount",
         ],
     )
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
-    )
-    cust = rd.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-    )
-    supp = rd.read_parquet(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
-    )
-    part = rd.read_parquet(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"])
+    orders = _table(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
+    cust = _table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
+    supp = _table(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
+    part = _table(sf_dir, "part", ["p_partkey", "p_type"])
     nation = pq.read_table(f"{sf_dir}/nation.parquet")
     region = pq.read_table(f"{sf_dir}/region.parquet")
     return market_share(
@@ -2725,14 +2528,10 @@ def _q_customer_features(sf_dir: str):
     """Per-customer lifetime order features (feature-store shape):
     per-block combiners → one #customers groupby → map-only integer
     ratio derivations."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.relational import customer_features
 
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_custkey", "o_orderdate", "o_totalprice"],
-    )
+    orders = _table(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"])
     return customer_features(orders)
 
 
@@ -2740,15 +2539,13 @@ def _q_band_revenue(sf_dir: str):
     """TPC-H Q19 shape: OR-of-(brand × quantity-band) revenue; the
     quantity-union prune runs map-only BEFORE the bucketed part join,
     the exact band disjunction after it."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.relational import band_revenue
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
+    li = _table(
+        sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"]
     )
-    part = rd.read_parquet(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"])
+    part = _table(sf_dir, "part", ["p_partkey", "p_brand"])
     return band_revenue(
         li,
         part,
@@ -2764,13 +2561,10 @@ def _q_copurchase_lift(sf_dir: str):
     """Market-basket pair support + lift over the order⋈part graph
     (association-rules level 1); DISTINCT basket semantics, exact
     integer lift via arbitrary-precision // (HUGEINT in the oracle)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.basket import copurchase_lift
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
-    )
+    li = _table(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
     return copurchase_lift(li, min_support=2)
 
 
@@ -2778,14 +2572,11 @@ def _q_order_count_dist(sf_dir: str):
     """TPC-H Q13 shape: distribution of per-customer URGENT-order
     counts, zero-count customers included — the outer join is rewritten
     as a customers-as-zero-partials union into ONE custkey groupby."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.relational import order_count_dist
 
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderpriority"]
-    )
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet", columns=["c_custkey"])
+    orders = _table(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
+    cust = _table(sf_dir, "customer", ["c_custkey"])
     return order_count_dist(orders, cust, include_prefix="1-")
 
 
@@ -2793,17 +2584,13 @@ def _q_top_supplier(sf_dir: str):
     """TPC-H Q15 shape: the supplier(s) with maximum revenue over one
     ship-half-year; aggregate materialized once, only the max scalar
     reaches the driver, names via the bucketed hash join."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.relational import top_supplier
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
+    li = _table(
+        sf_dir, "lineitem", ["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"]
     )
-    supp = rd.read_parquet(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"]
-    )
+    supp = _table(sf_dir, "supplier", ["s_suppkey", "s_name"])
     return top_supplier(
         li, supp, lo_us=_ts_us("1997-01-01"), hi_us=_ts_us("1997-07-01")
     )
@@ -2814,15 +2601,11 @@ def _q_small_qty_revenue(sf_dir: str):
     lineitems of one brand; the correlated AVG is decorrelated into a
     per-part map_groups that filters its own rows (exact integer
     cross-multiply, no float threshold)."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.relational import small_qty_revenue
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_quantity", "l_extendedprice"],
-    )
-    part = rd.read_parquet(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"])
+    li = _table(sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"])
+    part = _table(sf_dir, "part", ["p_partkey", "p_brand"])
     return small_qty_revenue(li, part, brand="Brand#23", frac_num=1, frac_den=5)
 
 
@@ -2831,17 +2614,11 @@ def _q_idle_customers(sf_dir: str):
     segments with no order since the cutoff; the mean is two driver
     scalars broadcast into an exact cross-multiplied filter, the NOT
     EXISTS is the bucketed anti join."""
-    import ray.data as rd
 
     from ocr_lib_ray.functions.relational import idle_customers
 
-    cust = rd.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_mktsegment", "c_acctbal"],
-    )
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderdate"]
-    )
+    cust = _table(sf_dir, "customer", ["c_custkey", "c_mktsegment", "c_acctbal"])
+    orders = _table(sf_dir, "orders", ["o_custkey", "o_orderdate"])
     return idle_customers(
         cust,
         orders,
@@ -2855,13 +2632,13 @@ def _q_nation_volume(sf_dir: str):
     directions through the full li⋈supp⋈nation⋈orders⋈cust⋈nation
     chain; nation broadcast, every corpus-scaled side bucketed."""
     import pyarrow.parquet as pq
-    import ray.data as rd
 
     from ocr_lib_ray.functions.relational import nation_volume
 
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=[
+    li = _table(
+        sf_dir,
+        "lineitem",
+        [
             "l_orderkey",
             "l_suppkey",
             "l_extendedprice",
@@ -2869,15 +2646,9 @@ def _q_nation_volume(sf_dir: str):
             "l_shipdate",
         ],
     )
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"]
-    )
-    cust = rd.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-    )
-    supp = rd.read_parquet(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
-    )
+    orders = _table(sf_dir, "orders", ["o_orderkey", "o_custkey"])
+    cust = _table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
+    supp = _table(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
     nation = pq.read_table(f"{sf_dir}/nation.parquet")
     return nation_volume(
         li,

@@ -204,15 +204,14 @@ def main(argv=None) -> int:
         DataContext.get_current().enable_progress_bars = False
         import time as _t
 
-        import ray.data as rd
-
+        from .sources.tables import read_table
         from .stages.manifest import safe_wipe_output
 
         t0 = _t.time()
         in_files = glob.glob(f"{args.input}/**/*.parquet", recursive=True)
         in_rows = sum(pqt_.ParquetFile(f).metadata.num_rows for f in in_files)
         safe_wipe_output(args.output, overwrite=args.overwrite)
-        rd.read_parquet(args.input).repartition(args.target_files).write_parquet(
+        read_table(args.input).repartition(args.target_files).write_parquet(
             args.output
         )
         out_files = glob.glob(f"{args.output}/**/*.parquet", recursive=True)
@@ -246,14 +245,13 @@ def main(argv=None) -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    import ray.data as rd
-
     from .config import ExtractConfig
     from .pipelines.extract import (
         build_pages_dataset,
         extract_pipeline,
         write_with_manifest,
     )
+    from .sources.tables import read_table
 
     t0 = time.time()
     if args.cmd == "curate":
@@ -382,7 +380,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.input:
-        pages = rd.read_parquet(args.input)
+        pages = read_table(args.input)
     else:
         pages = build_pages_dataset(args.sf_dir, repeat=getattr(args, "repeat", 1))
 

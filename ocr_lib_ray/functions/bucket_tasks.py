@@ -63,6 +63,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..pool import cluster_cpus
 from .joins import _key_buckets, derive_num_partitions
 
 
@@ -90,10 +91,9 @@ def _pack_groups(sizes: list) -> list:
     wherever the next item would pass
     ``DataContext.target_max_block_size``.  A group passes the target
     only when it is one item."""
-    import ray
     from ray.data import DataContext
 
-    cpus = int(ray.cluster_resources().get("CPU", 1))
+    cpus = cluster_cpus()
     if len(sizes) <= cpus:
         return [[i] for i in range(len(sizes))]
     target = DataContext.get_current().target_max_block_size

@@ -52,38 +52,30 @@ def topk_per_group(
     combine) — at k<=100 and 10^5 blocks that is still only 10^7 rows,
     so a single level is the right default.
 
+    Null group keys form one group, ranked like any other (SQL's NULL
+    partition).
+
     Output columns: (group_col, id_col, order_col).
     """
     cols = [group_col, id_col, order_col]
     ascending = [not descending, True]
 
-    def prune(batch: pa.Table) -> pa.Table:
-        # fail loudly on null group keys: pandas groupby would silently
-        # drop them here and Ray's sort-shuffle groupby cannot order
-        # None against strings downstream — either way the SQL analog
-        # (which ranks the NULL partition) would silently diverge
-        if batch.column(group_col).null_count:
-            raise ValueError(
-                f"topk_per_group: null keys in group column {group_col!r} "
-                "are unsupported (Ray sort-based groupby cannot shuffle "
-                "them); filter or fill them first"
-            )
-        schema = batch.select(cols).schema
-        df = batch.select(cols).to_pandas()
+    def top(batch: pa.Table) -> pa.Table:
+        # per-group top-k of a block (the prune) or of one group's
+        # candidates (the finish)
+        tbl = batch.select(cols)
         top = (
-            df.sort_values([order_col, id_col], ascending=ascending)
-            .groupby(group_col, sort=False)
+            tbl.to_pandas()
+            .sort_values([order_col, id_col], ascending=ascending)
+            .groupby(group_col, sort=False, dropna=False)
             .head(k)
         )
-        # explicit schema: from_pandas on an EMPTY block would infer
-        # `null` types and break downstream schema unification
-        return pa.Table.from_pandas(top, schema=schema, preserve_index=False)
+        # explicit schema: from_pandas on an EMPTY block (or an all-null
+        # group) would infer `null` types and break schema unification
+        return pa.Table.from_pandas(top, schema=tbl.schema, preserve_index=False)
 
-    def finish(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values([order_col, id_col], ascending=ascending).head(k)[cols]
-
-    pruned = ds.map_batches(prune, batch_format="pyarrow", zero_copy_batch=True)
-    return exchange_map_groups(pruned, group_col, finish, batch_format="pandas")
+    pruned = ds.map_batches(top, batch_format="pyarrow", zero_copy_batch=True)
+    return exchange_map_groups(pruned, group_col, top)
 
 
 def _df_partials(batch: pa.Table, text_col: str) -> pa.Table:

@@ -196,11 +196,12 @@ def build_training_data(
         # (the CLI --overwrite) force-wipes — and is honored HERE, not
         # only on --output, so the refusal can't fire after the output
         # dir was already emptied.
+        from ..sources.tables import read_table
         from ..stages.manifest import safe_wipe_output
 
         safe_wipe_output(checkpoint_dir, overwrite=overwrite)
         docs.write_parquet(checkpoint_dir)
-        docs = rd.read_parquet(checkpoint_dir)
+        docs = read_table(checkpoint_dir)
     # line_max_df: C4-style hot-line threshold.  NOTE the ordering
     # subtlety: line-dedup runs BEFORE exact dedup, so on a corpus with
     # exact-duplicate documents every shared line has df ≥ dup_count —

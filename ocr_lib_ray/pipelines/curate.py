@@ -124,13 +124,12 @@ def curate_corpus(
     deduped = dedup_keep_best(survivors, carry_cols=("text", "source"))
 
     if checkpoint_dir is not None:
-        import ray.data as rd
-
+        from ..sources.tables import read_table
         from ..stages.manifest import safe_wipe_output
 
         safe_wipe_output(checkpoint_dir, overwrite=overwrite)
         deduped.write_parquet(checkpoint_dir)
-        deduped = rd.read_parquet(checkpoint_dir)
+        deduped = read_table(checkpoint_dir)
 
     sampled = budget_sample(deduped, budgets, keep_cols=("doc_id", "source"))
     return shuffle_shards(sampled, num_shards=num_shards)

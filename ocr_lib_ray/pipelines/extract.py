@@ -25,6 +25,7 @@ import ray.data as rd
 from ..config import DEFAULT_CONFIG, ExtractConfig
 from ..functions.bucket_tasks import exchange_map_groups
 from ..sources.pages import synthesize_pages_batch
+from ..sources.tables import read_table
 from ..stages.extract_stage import ExtractDocuments, extract_batch
 from ..stages.manifest import (
     completed_partitions,
@@ -36,8 +37,8 @@ from ..stages.partition import add_partition_meta
 
 def build_pages_dataset(sf_dir: str, repeat: int = 1) -> rd.Dataset:
     """documents.parquet → pages Dataset (columns pruned at the read)."""
-    docs = rd.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang", "source"]
+    docs = read_table(
+        f"{sf_dir}/documents.parquet", ["doc_id", "text", "lang", "source"]
     )
     return docs.map_batches(
         lambda b: synthesize_pages_batch(b, repeat),
@@ -81,7 +82,12 @@ def extract_pipeline(
     one-shot parse.  A page's memory is O(page) on either parse.
 
     Extraction takes no ``batch_size``: each input block is one extract
-    call and one output block, and Ray fuses the read into extraction.
+    call and one output block, and on an unsplit read Ray fuses the read
+    into extraction.  A split read (``ReadParquet->SplitBlocks(k)``,
+    which Ray's default width makes of any file smaller than 2 x CPUs
+    blocks) never fuses: read pages through
+    :func:`sources.tables.read_table`, as :func:`build_pages_dataset`
+    does, which splits a small file only up to one block per CPU.
     A ``batch_size`` would set ``min_rows_per_bundled_input``, which
     stops that fusion and makes every page wait in the object store for
     its bundle.  The call holds the block's Arrow columns (the reader

@@ -1,4 +1,4 @@
-"""Actor-pool sizing that tracks the cluster.
+"""Sizing that tracks the cluster: its CPU count and actor-pool bounds.
 
 A fixed ``concurrency=(1, 4)`` caps a stateful stage at 4 actors no
 matter how many nodes the job runs on — correct on a laptop, a 8× waste
@@ -11,6 +11,21 @@ bounds.
 from __future__ import annotations
 
 
+def cluster_cpus() -> int:
+    """The Ray cluster's CPUs (``ray.cluster_resources()["CPU"]``), and 1
+    when Ray has not started or the cluster has no CPU resource — the
+    fallback Ray Data's own read-width estimate uses.  The one CPU count
+    behind read widths (``sources.tables``), the exchange's task waves
+    (``bucket_tasks._pack_groups``) and actor-pool bounds."""
+    import ray
+
+    try:
+        resources = ray.cluster_resources()
+    except ray.exceptions.RaySystemError:  # Ray has not started
+        return 1
+    return max(1, int(resources.get("CPU", 1)))
+
+
 def autoscale_pool(lo: int = 1, cap: int | None = None) -> tuple:
     """(lo, hi) actor-pool bounds with hi = cluster CPUs (min 2).
 
@@ -19,10 +34,7 @@ def autoscale_pool(lo: int = 1, cap: int | None = None) -> tuple:
     only creates actors the backlog needs, so a generous hi costs
     nothing on small inputs.
     """
-    import ray
-
-    n = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    hi = max(2, n)
+    hi = max(2, cluster_cpus())
     if cap is not None:
         hi = min(hi, cap)
     return (lo, hi)

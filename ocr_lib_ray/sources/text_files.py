@@ -48,9 +48,11 @@ def read_documents(path, format: str = "parquet", columns: list | None = None):
     """
     import ray.data as rd
 
+    from .tables import read_table
+
     fmt = format.lower()
     if fmt == "parquet":
-        ds = rd.read_parquet(path, columns=columns)
+        ds = read_table(path, columns)
     elif fmt in ("jsonl", "json"):
         ds = rd.read_json(path)
     elif fmt == "csv":

@@ -20,6 +20,9 @@
 * Object refs become a Dataset through ``bucket_tasks.dataset_from_refs``
   (one metadata task per producing task): no ``rd.from_arrow_refs`` (one
   per ref) is left.
+* Parquet is read through ``sources.tables.read_table``, sized to the
+  cluster: no other ``read_parquet(`` call is left in the package or in
+  ``__ray_entry__.py``.
 """
 
 import ast
@@ -137,3 +140,17 @@ def test_dedup_family_aggregates_in_the_exchange():
 
 def test_refs_become_a_dataset_through_one_helper():
     assert _attribute_sites("from_arrow_refs") == []
+
+
+#: the one module that calls ``read_parquet``
+READ_HELPER = "ocr_lib_ray/sources/tables.py"
+
+
+def test_parquet_is_read_through_one_helper():
+    calls = []  # (path, line) of every read_parquet(...) call
+    for path in sorted(PACKAGE.rglob("*.py")) + [PACKAGE.parent / "__ray_entry__.py"]:
+        rel = path.relative_to(PACKAGE.parent).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if _called_name(node) == "read_parquet":
+                calls.append((rel, node.lineno))
+    assert {rel for rel, _ in calls} == {READ_HELPER}

@@ -132,12 +132,64 @@ def test_topk_per_group_null_groups_and_empty_blocks():
     )
     assert list(got["doc_id"]) == [2, 3]
 
-    # null group keys: loud error, not a silent drop (Ray's sort-based
-    # groupby cannot shuffle None against strings; SQL would rank the
-    # NULL partition — divergence must be explicit)
+    # null group keys are one group, ranked like any other (SQL ranks
+    # the NULL partition), not dropped and not an error
     t_null = t.set_column(2, "grp", pa.array(["a", None, "a"], pa.string()))
-    with pytest.raises(Exception, match="null keys"):
-        topk_per_group(rd.from_arrow(t_null), "grp", "score", k=1, id_col="doc_id").take_all()
+    got = topk_per_group(
+        rd.from_arrow(t_null).repartition(8), "grp", "score", k=1, id_col="doc_id"
+    )
+    assert got.schema().base_schema.field("grp").type == pa.string()
+    assert sorted((r["doc_id"], r["grp"]) for r in got.take_all()) == [
+        (2, None),
+        (3, "a"),
+    ]
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("descending", [True, False])
+def test_topk_per_group_null_keys_match_duckdb_row_number(descending):
+    """topk_per_group == DuckDB ``ROW_NUMBER() OVER (PARTITION BY g
+    ORDER BY score, doc_id) <= k`` on a table whose group column holds
+    nulls (the NULL partition ranks too), at 1 and 7 blocks."""
+    import duckdb
+    import ray.data as rd
+
+    n = 200
+    t = pa.table(
+        {
+            "doc_id": pa.array(range(n), pa.int64()),
+            "score": pa.array([(i * 37) % 11 for i in range(n)], pa.int64()),
+            "g": pa.array(
+                [None if i % 5 == 0 else f"g{i % 3}" for i in range(n)], pa.string()
+            ),
+        }
+    )
+    order = "DESC" if descending else "ASC"
+    want = (
+        duckdb.connect()
+        .execute(
+            f"""SELECT g, doc_id, score FROM (
+                  SELECT *, ROW_NUMBER() OVER (
+                    PARTITION BY g ORDER BY score {order}, doc_id) AS rn
+                  FROM t) WHERE rn <= 4"""
+        )
+        .arrow()
+    )
+    assert want.column("g").null_count == 4
+
+    def rows(dicts):
+        return sorted([(r["g"], r["doc_id"], r["score"]) for r in dicts], key=str)
+
+    for num_blocks in (1, 7):
+        got = topk_per_group(
+            rd.from_arrow(t).repartition(num_blocks),
+            "g",
+            "score",
+            k=4,
+            id_col="doc_id",
+            descending=descending,
+        )
+        assert rows(got.take_all()) == rows(want.to_pylist())
 
 
 def _tfidf_reference(rows, k):
